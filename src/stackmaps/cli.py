@@ -68,7 +68,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    ts = trees.enumerate_trees(ARITY[args.family], args.size, bound=args.size + 1)
+    ts = trees.enumerate_trees(ARITY[args.family], args.size, bound=trees.DEFAULT_EXHAUSTIVE_BOUND)
     _emit(json.dumps([t.to_parens() for t in ts]), args.out)
     return 0
 

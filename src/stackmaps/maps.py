@@ -20,7 +20,6 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from .counting import count_histories  # noqa: F401  (history counting lives here too)
 from .trees import OrderedTree, Word
 
 TRIANGULATION = "triangulation"
@@ -28,6 +27,28 @@ QUADRANGULATION = "quadrangulation"
 
 _ARITY = {TRIANGULATION: 3, QUADRANGULATION: 2}
 _N_BOUNDARY = {TRIANGULATION: 3, QUADRANGULATION: 4}
+# corner tuples are ordered so the root vertex (id 0) sits where the type
+# seed expects it: triangle (E0,E1,E2) -> (0,1,1); square (B,C,D,A) ->
+# (1,2,1,0) with A the root vertex
+_ROOT_FACE = {TRIANGULATION: (0, 1, 2), QUADRANGULATION: (1, 2, 3, 0)}
+
+
+def _split_tri(f, x):
+    v1, v2, v3 = f
+    return (x, v2, v3), (v1, x, v3), (v1, v2, x)
+
+
+def _split_quad(f, x):
+    a, b, c, d = f
+    return (b, x, d, a), (b, x, d, c)
+
+
+# subdivision rule of each family: the child faces, in letter order, of face
+# f when vertex x is inserted in it, and the corners of f that x is joined to
+_SPLIT = {
+    TRIANGULATION: (_split_tri, slice(0, 3)),
+    QUADRANGULATION: (_split_quad, slice(1, 4, 2)),
+}
 
 
 class NotStackMapError(ValueError):
@@ -53,14 +74,7 @@ class StackMap:
         self.adjacency: list[list[int]] = [[] for _ in range(nb)]
         for i in range(nb):
             self._add_edge(i, (i + 1) % nb)
-        # corner tuples are ordered so the root vertex (id 0) sits where the
-        # type seed expects it: triangle (E0,E1,E2) -> (0,1,1); square
-        # (B,C,D,A) -> (1,2,1,0) with A the root vertex
-        if family == TRIANGULATION:
-            root_face = (0, 1, 2)
-        else:
-            root_face = (1, 2, 3, 0)
-        self.faces: dict[Word, tuple[int, ...]] = {(): root_face}
+        self.faces: dict[Word, tuple[int, ...]] = {(): _ROOT_FACE[family]}
         self.vertex_words: list[Word | None] = [None] * nb
         self.root_edge = (0, 1)
 
@@ -125,19 +139,11 @@ class StackMap:
         x = len(self.adjacency)
         self.adjacency.append([])
         self.vertex_words.append(face)
-        if self.family == TRIANGULATION:
-            v1, v2, v3 = corners
-            for v in corners:
-                self._add_edge(x, v)
-            self.faces[face + (1,)] = (x, v2, v3)
-            self.faces[face + (2,)] = (v1, x, v3)
-            self.faces[face + (3,)] = (v1, v2, x)
-        else:
-            a, b, c, d = corners
-            self._add_edge(x, b)
-            self._add_edge(x, d)
-            self.faces[face + (1,)] = (b, x, d, a)
-            self.faces[face + (2,)] = (b, x, d, c)
+        split, attach = _SPLIT[self.family]
+        for v in corners[attach]:
+            self._add_edge(x, v)
+        for letter, child in enumerate(split(corners, x), 1):
+            self.faces[face + (letter,)] = child
         return x
 
     def copy(self) -> "StackMap":
@@ -175,9 +181,6 @@ class StackMap:
             ],
             "root_edge": list(self.root_edge),
             "edges": [list(e) for e in edges],
-            "faces": {
-                "".join(map(str, w)): list(c) for w, c in sorted(self.faces.items())
-            },
             "tree": face_tree(self).to_parens(),
         }
 
@@ -229,92 +232,115 @@ def face_tree(m: StackMap) -> OrderedTree:
 
 
 # ---------------------------------------------------------------------------
-# inverse bijection: recover the tree from the bare graph
+# inverse bijection: recover the tree from the bare graph by peeling
 #
-# Only the adjacency and the root face tuple are used, so this doubles as a
-# recognition algorithm: inputs that are not stack-maps raise
-# NotStackMapError.
+# An internal vertex of degree 3 (degree 2 in a quadrangulation) gained no
+# edge after its insertion, so it can be taken out last: its neighbours are
+# the corners of its birth face (for a quadrangulation, the two ends of that
+# face's active diagonal).  Peeling such vertices off a stack while counting
+# down the degrees of their neighbours gives an insertion history
+# backwards.  Replaying it from the root face, each vertex must land in the
+# live face whose corners (or diagonal) are its peeled-off neighbours; the
+# subdivided faces make up the face tree.  Each vertex is peeled and
+# replayed once and each adjacency entry is read a bounded number of times,
+# so the cost is O(n) and no recursion is involved.
+#
+# Only the adjacency is read, so this doubles as a recognition test.  It
+# raises NotStackMapError on a loop, a repeated or one-sided edge, an
+# internal vertex that cannot be peeled, a replayed vertex whose neighbours
+# bound no live face, and anything but the bare boundary cycle left after
+# peeling.
 
 
 def tree_from_map(m: StackMap) -> OrderedTree:
-    neighbors = [set(a) for a in m.adjacency]
-    interior = set(range(m.n_boundary, m.n_vertices))
-    internal_words: list[Word] = []
-    root_face = (0, 1, 2) if m.family == TRIANGULATION else (1, 2, 3, 0)
-    if m.family == TRIANGULATION:
-        _recover_tri(neighbors, root_face, interior, (), internal_words)
-    else:
-        _recover_quad(neighbors, root_face, interior, (), internal_words)
-    return OrderedTree.from_internal_words(m.arity, internal_words)
-
-
-def _components(neighbors, region):
-    comps = []
-    todo = set(region)
+    """Face-subdivision tree of m, read off its adjacency alone; raises
+    NotStackMapError if the graph is not a stack-map of ``m.family``."""
+    adj = m.adjacency
+    n, nb, k = len(adj), m.n_boundary, m.arity
+    _check_simple(adj)
+    # peel; k is both the degree of a last-inserted vertex and the arity
+    deg = [len(a) for a in adj]
+    removed = bytearray(n)
+    birth = [()] * n  # sorted neighbours of each vertex when it was peeled
+    order = []
+    todo = [x for x in range(nb, n) if deg[x] == k]
     while todo:
-        seed = todo.pop()
-        comp = {seed}
-        stack = [seed]
-        while stack:
-            v = stack.pop()
-            for w in neighbors[v]:
-                if w in todo:
-                    todo.discard(w)
-                    comp.add(w)
-                    stack.append(w)
-        comps.append(comp)
-    return comps
+        x = todo.pop()
+        if deg[x] != k:
+            continue  # lost a neighbour since it was queued: never peelable
+        live = _unpeeled_neighbours(adj, x, deg, removed, birth)
+        live.sort()
+        birth[x] = tuple(live)
+        removed[x] = 1
+        order.append(x)
+        for y in live:
+            deg[y] -= 1
+            if deg[y] == k and y >= nb:
+                todo.append(y)
+    if len(order) != n - nb:
+        x = next(x for x in range(nb, n) if not removed[x])
+        raise NotStackMapError(f"internal vertex {x} cannot be peeled (degree {deg[x]} left)")
+    for b in range(nb):
+        live = _unpeeled_neighbours(adj, b, deg, removed, birth)
+        if sorted(live) != sorted(((b - 1) % nb, (b + 1) % nb)):
+            raise NotStackMapError(
+                f"boundary vertex {b} keeps neighbours {live} after peeling, "
+                "not just its two boundary neighbours"
+            )
+    # replay: first[node] is the first of the k consecutive child ids of a
+    # subdivided face node, -1 for a leaf
+    split, attach = _SPLIT[m.family]
+    faces = [_ROOT_FACE[m.family]]
+    first = [-1]
+    open_faces = {tuple(sorted(faces[0][attach])): 0}
+    for x in reversed(order):
+        node = open_faces.pop(birth[x], None)
+        if node is None:
+            raise NotStackMapError(f"the neighbours {birth[x]} of vertex {x} bound no face")
+        first[node] = len(first)
+        for child in split(faces[node], x):
+            open_faces[tuple(sorted(child[attach]))] = len(first)
+            first.append(-1)
+            faces.append(child)
+    offspring = []
+    stack = [0]
+    while stack:
+        c = first[stack.pop()]
+        if c < 0:
+            offspring.append(0)
+        else:
+            offspring.append(k)
+            stack.extend(range(c + k - 1, c - 1, -1))
+    return OrderedTree(k, offspring)
 
 
-def _recover_tri(neighbors, corners, region, word, out) -> None:
-    if not region:
-        return
-    apexes = [x for x in region if all(c in neighbors[x] for c in corners)]
-    if len(apexes) != 1:
-        raise NotStackMapError(
-            f"face {corners} has {len(apexes)} candidate apex vertices, expected 1"
-        )
-    x = apexes[0]
-    out.append(word)
-    v1, v2, v3 = corners
-    children = [(x, v2, v3), (v1, x, v3), (v1, v2, x)]
-    child_corner_sets = [set(c) for c in children]
-    sub = [set(), set(), set()]
-    for comp in _components(neighbors, region - {x}):
-        boundary = set()
-        for v in comp:
-            boundary |= neighbors[v] - comp
-        placed = [i for i in range(3) if boundary <= child_corner_sets[i]]
-        if len(placed) != 1:
-            raise NotStackMapError(f"region inside face {corners} fits {len(placed)} sub-faces")
-        sub[placed[0]] |= comp
-    for i in range(3):
-        _recover_tri(neighbors, children[i], sub[i], word + (i + 1,), out)
+def _check_simple(adj) -> None:
+    n = len(adj)
+    seen = [-1] * n
+    for u, nbrs in enumerate(adj):
+        for v in nbrs:
+            if not 0 <= v < n:
+                raise NotStackMapError(f"vertex {u} lists {v}, not a vertex id")
+            if v == u:
+                raise NotStackMapError(f"loop at vertex {u}")
+            if seen[v] == u:
+                raise NotStackMapError(f"repeated edge {u}-{v}")
+            seen[v] = u
 
 
-def _recover_quad(neighbors, corners, region, word, out) -> None:
-    if not region:
-        return
-    a, b, c, d = corners
-    apexes = [x for x in region if b in neighbors[x] and d in neighbors[x]]
-    if len(apexes) != 1:
-        raise NotStackMapError(
-            f"face {corners} has {len(apexes)} vertices on the diagonal, expected 1"
-        )
-    x = apexes[0]
-    out.append(word)
-    children = [(b, x, d, a), (b, x, d, c)]
-    sub = [set(), set()]
-    for comp in _components(neighbors, region - {x}):
-        boundary = set()
-        for v in comp:
-            boundary |= neighbors[v] - comp
-        placed = [i for i in range(2) if boundary <= set(children[i])]
-        if len(placed) != 1:
-            raise NotStackMapError(f"region inside face {corners} fits {len(placed)} sub-faces")
-        sub[placed[0]] |= comp
-    for i in range(2):
-        _recover_quad(neighbors, children[i], sub[i], word + (i + 1,), out)
+def _unpeeled_neighbours(adj, x, deg, removed, birth) -> list[int]:
+    """Neighbours of x not yet peeled.  Raises unless every edge at x is
+    two-sided: each peeled neighbour had x as a birth corner, and their
+    number matches the degree count-down."""
+    live = []
+    for y in adj[x]:
+        if not removed[y]:
+            live.append(y)
+        elif x not in birth[y]:
+            raise NotStackMapError(f"edge {x}-{y} is listed at {x} only")
+    if len(live) != deg[x]:
+        raise NotStackMapError(f"vertex {x} is listed by a neighbour it does not list")
+    return live
 
 
 # ---------------------------------------------------------------------------

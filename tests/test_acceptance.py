@@ -8,7 +8,6 @@ converges to its closed-form limit 3/sqrt(t) at j = t*n, and records that
 """
 
 import json
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -47,8 +46,6 @@ from stackmaps.trees import (
     sample_uniform_tree,
     tree_distance,
 )
-
-sys.setrecursionlimit(100000)
 
 
 def report(cid: str, ok: bool, detail: str) -> None:

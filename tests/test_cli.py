@@ -66,6 +66,14 @@ def test_enumerate():
     assert len(json.loads(r.stdout)) == 3
 
 
+def test_enumerate_size_is_bounded():
+    r = run_cli(["enumerate", "--family", "tri", "--size", "12"])
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: ") and "exhaustive bound" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""
+
+
 def test_count():
     r = run_cli(["count", "--what", "trees", "--family", "tri", "--n", "5"])
     assert r.stdout.strip() == "273"

@@ -1,5 +1,7 @@
 """Stack-map construction, bijection with trees, distances and degrees."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,19 @@ def test_roundtrip_sampled_large():
         assert tree_from_map(map_from_tree(t, family)) == t
 
 
+@pytest.mark.parametrize("family, arity", [(TRIANGULATION, 3), (QUADRANGULATION, 2)])
+def test_roundtrip_deep_path_default_recursion_limit(family, arity):
+    # the nested path 1^2000 is twice as deep as the default recursion limit
+    t = OrderedTree.from_internal_words(arity, [(1,) * k for k in range(2000)])
+    m = map_from_tree(t, family)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert tree_from_map(m) == t
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_map_from_tree_injective_small():
     for family, arity in ((TRIANGULATION, 3), (QUADRANGULATION, 2)):
         for n in range(5):
@@ -118,6 +133,32 @@ def _non_stack_triangulation() -> StackMap:
 def test_tree_from_map_rejects_non_stack():
     with pytest.raises(NotStackMapError):
         tree_from_map(_non_stack_triangulation())
+
+
+def _add_pendant_vertex(m: StackMap) -> None:
+    x = m.n_vertices
+    m.adjacency.append([])
+    m._add_edge(x, 0)
+    m._add_edge(x, 1)
+
+
+@pytest.mark.parametrize(
+    "family, spoil, match",
+    [
+        (QUADRANGULATION, lambda m: m._add_edge(0, 2), "boundary vertex 0"),
+        (TRIANGULATION, lambda m: m._add_edge(3, 0), "repeated edge"),
+        (TRIANGULATION, lambda m: m._add_edge(0, 0), "loop"),
+        (TRIANGULATION, _add_pendant_vertex, "cannot be peeled"),
+        (TRIANGULATION, lambda m: m.adjacency[0].append(4), "listed at 0 only"),
+    ],
+    ids=["boundary-chord", "doubled-edge", "loop", "pendant-vertex", "one-sided-edge"],
+)
+def test_tree_from_map_rejects_spoiled_map(family, spoil, match):
+    arity = 3 if family == TRIANGULATION else 2
+    m = map_from_tree(OrderedTree(arity, [arity, arity] + [0] * (2 * arity - 1)), family)
+    spoil(m)
+    with pytest.raises(NotStackMapError, match=match):
+        tree_from_map(m)
 
 
 def test_root_distance_identity_exhaustive():
