@@ -84,11 +84,21 @@ def cmd_count(args) -> int:
     return 0
 
 
+#: experiments that run a fixed list of sizes and read no single n
+_SIZED_EXPERIMENTS = ("typical-distance", "radius-scaling")
+
+
 def cmd_stats(args) -> int:
     params = {}
     if args.n is not None:
+        if args.experiment in _SIZED_EXPERIMENTS:
+            raise ValueError(f"--n does not apply to {args.experiment}, which runs fixed sizes")
+        if args.n < 2:
+            raise ValueError(f"--n must be at least 2, got {args.n}")
         params["n"] = args.n
     if args.reps is not None:
+        if args.reps < 1:
+            raise ValueError(f"--reps must be at least 1, got {args.reps}")
         params["reps"] = args.reps
     report = stats.run_experiment(args.experiment, params, _seed(args))
     text = report.to_csv() if args.format == "csv" else report.to_json()

@@ -8,8 +8,11 @@ face's active diagonal, splitting the face in two.  The face-subdivision
 genealogy is a full ternary (resp. binary) tree, and the map depends on
 the tree only, not on the insertion order.
 
+A map is held as that tree plus the adjacency lists derived from it.
 Vertex ids are integers: the boundary vertices first (0..2 or 0..3, with 0
-the root vertex), then internal vertices in insertion order.
+the root vertex), then one vertex per internal tree node in preorder, for
+every map however it was built.  Face words are used only at the API
+boundary.
 """
 
 from __future__ import annotations
@@ -56,26 +59,28 @@ class NotStackMapError(ValueError):
 
 
 class StackMap:
-    """Planar map built by iterated face subdivision.
+    """Planar map built by iterated face subdivision, held as the pair
+    (face-subdivision tree, adjacency lists).
 
-    ``faces`` maps each face word that ever existed to its corner tuple;
-    the current finite faces are the words without children.  Corner tuples
-    follow the construction order, so corner distances to the root vertex
-    reproduce the type automaton of the passage module.
+    The tree determines the map; ``adjacency`` is derived from it by
+    ``adjacency_from_offspring``.  Vertex ids are the boundary, then one
+    vertex per internal tree node in preorder.  Face words appear only at
+    the API boundary (``word_of``, ``vertex_of``, ``leaf_faces``, ``grow``).
     """
 
-    __slots__ = ("family", "adjacency", "faces", "vertex_words", "root_edge")
+    __slots__ = ("family", "tree", "adjacency", "root_edge")
 
-    def __init__(self, family: str):
+    def __init__(self, family: str, tree: OrderedTree | None = None):
         if family not in _ARITY:
             raise ValueError(f"unknown family {family!r}")
+        k = _ARITY[family]
+        if tree is None:
+            tree = OrderedTree.single_leaf(k)
+        elif tree.arity != k:
+            raise ValueError(f"{family} needs arity {k}, got {tree.arity}")
         self.family = family
-        nb = _N_BOUNDARY[family]
-        self.adjacency: list[list[int]] = [[] for _ in range(nb)]
-        for i in range(nb):
-            self._add_edge(i, (i + 1) % nb)
-        self.faces: dict[Word, tuple[int, ...]] = {(): _ROOT_FACE[family]}
-        self.vertex_words: list[Word | None] = [None] * nb
+        self.tree = tree
+        self.adjacency: list[list[int]] = adjacency_from_offspring(tree.offspring, family)
         self.root_edge = (0, 1)
 
     # -- basic accessors ---------------------------------------------------
@@ -102,68 +107,46 @@ class StackMap:
 
     def leaf_faces(self) -> list[Word]:
         """Words of the current finite faces, in lexicographic order."""
-        return sorted(w for w in self.faces if w + (1,) not in self.faces)
-
-    def internal_vertex_ids(self) -> range:
-        return range(self.n_boundary, self.n_vertices)
+        words = self.tree.words()
+        return [words[i] for i, c in enumerate(self.tree.offspring) if not c]
 
     def word_of(self, vid: int) -> Word:
-        """Birth-face word of an internal vertex."""
-        w = self.vertex_words[vid]
-        if w is None:
+        """Birth-face word of an internal vertex; O(n), since it lists the
+        internal nodes to find the (vid - n_boundary)-th in preorder."""
+        if vid < self.n_boundary:
             raise ValueError(f"vertex {vid} is a boundary vertex")
-        return w
+        return self.tree.word(self.tree.internal_indices()[vid - self.n_boundary])
 
     def vertex_of(self, word: Word) -> int:
-        """Id of the vertex inserted in the given face."""
-        child = self.faces[word + (1,)]
-        # the child tuple consists of parent corners plus the new vertex
-        (x,) = set(child) - set(self.faces[word])
-        return x
+        """Id of the vertex inserted in the given face; KeyError if the
+        face is a leaf or not in the tree.
+
+        The nodes before node i in preorder are its ancestors and the
+        subtrees of their left siblings, which gives the Lukasiewicz
+        identity k * (internal nodes before i) = i + sum(k - letter).
+        """
+        t, k = self.tree, self.arity
+        i = t.index_of(word)
+        if not t.offspring[i]:
+            raise KeyError(word)
+        return self.n_boundary + (i + sum(k - a for a in word)) // k
 
     def degree(self, vid: int) -> int:
         return len(self.adjacency[vid])
-
-    # -- construction ------------------------------------------------------
 
     def _add_edge(self, u: int, v: int) -> None:
         self.adjacency[u].append(v)
         self.adjacency[v].append(u)
 
-    def _grow_inplace(self, face: Word) -> int:
-        corners = self.faces.get(face)
-        if corners is None:
-            raise ValueError(f"no face with word {face}")
-        if face + (1,) in self.faces:
-            raise ValueError(f"face {face} was already subdivided")
-        x = len(self.adjacency)
-        self.adjacency.append([])
-        self.vertex_words.append(face)
-        split, attach = _SPLIT[self.family]
-        for v in corners[attach]:
-            self._add_edge(x, v)
-        for letter, child in enumerate(split(corners, x), 1):
-            self.faces[face + (letter,)] = child
-        return x
-
-    def copy(self) -> "StackMap":
-        m = StackMap.__new__(StackMap)
-        m.family = self.family
-        m.adjacency = [list(a) for a in self.adjacency]
-        m.faces = dict(self.faces)
-        m.vertex_words = list(self.vertex_words)
-        m.root_edge = self.root_edge
-        return m
-
-    # -- equality: rooted isomorphism via tree recovery --------------------
+    # -- equality: the tree determines the map ------------------------------
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, StackMap) or self.family != other.family:
-            return NotImplemented if not isinstance(other, StackMap) else False
-        return tree_from_map(self) == tree_from_map(other)
+        if not isinstance(other, StackMap):
+            return NotImplemented
+        return (self.family, self.tree) == (other.family, other.tree)
 
     def __hash__(self) -> int:
-        return hash((self.family, tuple(tree_from_map(self).offspring)))
+        return hash((self.family, self.tree))
 
     def __repr__(self) -> str:
         return f"StackMap({self.family}, {self.n_insertions} insertions)"
@@ -181,7 +164,7 @@ class StackMap:
             ],
             "root_edge": list(self.root_edge),
             "edges": [list(e) for e in edges],
-            "tree": face_tree(self).to_parens(),
+            "tree": self.tree.to_parens(),
         }
 
     def to_json(self) -> str:
@@ -199,36 +182,37 @@ def theta(family: str = TRIANGULATION) -> StackMap:
 
 
 def grow(m: StackMap, face: Word) -> StackMap:
-    """Insert a vertex in the given finite face; returns a new map."""
-    out = m.copy()
-    out._grow_inplace(face)
-    return out
+    """Insert a vertex in the given finite face; returns a new map, built
+    in O(n) from the offspring sequence with that leaf expanded."""
+    t = m.tree
+    try:
+        i = t.index_of(face)
+    except KeyError:
+        raise ValueError(f"no face with word {face}") from None
+    if t.offspring[i]:
+        raise ValueError(f"face {face} was already subdivided")
+    off = t.offspring[:i] + [t.arity] + [0] * t.arity + t.offspring[i + 1:]
+    return StackMap(m.family, OrderedTree(t.arity, off))
 
 
 def map_from_history(history, family: str) -> StackMap:
-    m = StackMap(family)
-    for face in history:
-        m._grow_inplace(tuple(face))
-    return m
+    """Map after inserting one vertex in each face of the history, in that
+    order.  It depends only on the set of faces, so vertex ids follow the
+    preorder of the tree, not the insertion order."""
+    k = _ARITY[family]
+    done: set[Word] = set()
+    for face in map(tuple, history):
+        if face in done:
+            raise ValueError(f"face {face} was already subdivided")
+        if face and (face[:-1] not in done or not 1 <= face[-1] <= k):
+            raise ValueError(f"no face with word {face}")
+        done.add(face)
+    return StackMap(family, OrderedTree.from_internal_words(k, done))
 
 
 def map_from_tree(t: OrderedTree, family: str) -> StackMap:
-    """Replay the internal nodes of t in lexicographic order; any insertion
-    order producing the same tree gives the same map."""
-    if t.arity != _ARITY[family]:
-        raise ValueError(f"{family} needs arity {_ARITY[family]}, got {t.arity}")
-    m = StackMap(family)
-    words = t.words()
-    for i in range(len(t)):
-        if t.offspring[i]:
-            m._grow_inplace(words[i])
-    return m
-
-
-def face_tree(m: StackMap) -> OrderedTree:
-    """Face-subdivision tree of the map (internal node = subdivided face)."""
-    internal = [w for w in m.faces if w + (1,) in m.faces]
-    return OrderedTree.from_internal_words(m.arity, internal)
+    """The map whose face-subdivision tree is t."""
+    return StackMap(family, t)
 
 
 # ---------------------------------------------------------------------------
@@ -344,15 +328,16 @@ def _unpeeled_neighbours(adj, x, deg, removed, birth) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# fast array path (no face dictionaries) for large Monte-Carlo runs
+# adjacency and BFS on flat arrays
 
 
 def adjacency_from_offspring(offspring, family: str) -> list[list[int]]:
     """Adjacency lists of the map of the tree given as a preorder offspring
     sequence.  Vertex ids: boundary first, then internal nodes in preorder.
 
-    Equivalent to map_from_tree(...).adjacency (the lex replay inserts
-    vertices in preorder) but an order of magnitude faster on big trees.
+    This is the one map builder: ``StackMap`` calls it, and Monte-Carlo
+    code calls it on sampled offspring arrays without building a tree.
+    The corner updates inline ``_SPLIT`` for speed.
     """
     nb = _N_BOUNDARY[family]
     adj: list[list[int]] = [[] for _ in range(nb)]
@@ -411,20 +396,11 @@ def bfs_distances_from(adj, source: int) -> np.ndarray:
 # distances
 
 
-def _csgraph(m: StackMap) -> csr_matrix:
-    rows, cols = [], []
-    for u, nbrs in enumerate(m.adjacency):
-        rows.extend([u] * len(nbrs))
-        cols.extend(nbrs)
-    data = np.ones(len(rows), dtype=np.int8)
-    n = m.n_vertices
-    return csr_matrix((data, (rows, cols)), shape=(n, n))
-
-
 def distance_matrix(m: StackMap, sources=None) -> np.ndarray:
     """BFS distances from the given source ids (default: all) to every
     vertex, as an integer matrix."""
-    d = shortest_path(_csgraph(m), method="D", unweighted=True, indices=sources)
+    d = shortest_path(csgraph_from_adjacency(m.adjacency), method="D", unweighted=True,
+                      indices=sources)
     return d.astype(np.int64)
 
 
@@ -449,17 +425,14 @@ def degree_via_tree(t: OrderedTree, u: Word, family: str) -> int:
     i = t.index_of(u)
     if not t.offspring[i]:
         raise ValueError(f"{u} is not an internal node")
-    if family == TRIANGULATION:
-        return 3 + _count_language(t, i, _tri_step)
-    return 2 + _count_language(t, i, _quad_step)
+    return _degree(t.offspring, i, family)
 
 
 def degree_via_tree_literal_quad(t: OrderedTree, u: Word) -> int:
     """Variant counting descendants u·w with |w| >= 2 and w in {12,21}*;
     disagrees with the map degree (see tests), kept for comparison."""
-    u = tuple(u)
-    i = t.index_of(u)
-    return 2 + _count_language(t, i, _quad_literal_step)
+    i = t.index_of(tuple(u))
+    return 2 + _count_accepted(t.offspring, i, 2, _quad_literal_step)
 
 
 def _quad_literal_step(state, letter):
@@ -504,22 +477,49 @@ def _quad_step(state, letter):
     return (4, True) if letter == 2 else (None, False)  # state == 3
 
 
-def _count_language(t: OrderedTree, root_idx: int, step) -> int:
-    """Count internal strict descendants of root_idx whose connecting word
-    is accepted by the incremental automaton ``step``.  A None next-state
-    kills the branch (both languages are closed under removing suffixes)."""
+_DEGREE_STEP = {TRIANGULATION: _tri_step, QUADRANGULATION: _quad_step}
+
+
+def _degree(offspring, i: int, family: str) -> int:
+    """Map degree of the vertex of internal node i: the arity (its birth
+    edges) plus the internal descendants the family's automaton accepts."""
+    k = _ARITY[family]
+    return k + _count_accepted(offspring, i, k, _DEGREE_STEP[family])
+
+
+def _count_accepted(offspring, i: int, arity: int, step) -> int:
+    """Count the internal strict descendants of node i whose connecting
+    word the incremental automaton ``step`` accepts, walking only the
+    subtree of i on the flat preorder offspring array.  A None next-state
+    skips the whole subtree (both languages are closed under removing
+    suffixes)."""
+    if not offspring[i]:
+        return 0  # a leaf: the walk below would read past its subtree
     count = 0
-    stack = [(c, _START) for c in t.children(root_idx) if t.offspring[c]]
+    # stack of (state, children_left) per open ancestor inside the subtree
+    stack = [(_START, offspring[i])]
+    j = i
     while stack:
-        j, state = stack.pop()
-        new_state, accept = step(state, t.letter[j])
-        if new_state is None:
-            continue
-        if accept:
-            count += 1
-        stack.extend(
-            (c, new_state) for c in t.children(j) if t.offspring[c]
-        )
+        j += 1
+        state, left = stack[-1]
+        letter = arity - left + 1
+        stack[-1] = (state, left - 1)
+        c = offspring[j]
+        if c:
+            new_state, accept = step(state, letter)
+            if new_state is None:
+                # skip the whole subtree of j
+                depth = 1
+                while depth:
+                    depth += offspring[j] - 1
+                    j += 1
+                j -= 1
+            else:
+                if accept:
+                    count += 1
+                stack.append((new_state, c))
+        while stack and stack[-1][1] == 0:
+            stack.pop()
     return count
 
 
@@ -536,15 +536,19 @@ def canonical_drawing(m: StackMap) -> dict[int, tuple[float, float]]:
     every internal vertex at the centroid of its birth face.  Depends only
     on the map, not on the insertion history."""
     pos = dict(TRI_CORNERS if m.family == TRIANGULATION else QUAD_CORNERS)
-    for w in sorted(m.faces):
-        if w + (1,) not in m.faces:
+    split = _SPLIT[m.family][0]
+    stack = [_ROOT_FACE[m.family]]  # corners of the faces still to visit
+    x = m.n_boundary
+    for c in m.tree.offspring:
+        corners = stack.pop()
+        if not c:
             continue
-        x = m.vertex_of(w)
-        corners = m.faces[w]
         pos[x] = (
-            sum(pos[c][0] for c in corners) / len(corners),
-            sum(pos[c][1] for c in corners) / len(corners),
+            sum(pos[v][0] for v in corners) / len(corners),
+            sum(pos[v][1] for v in corners) / len(corners),
         )
+        stack.extend(reversed(split(corners, x)))
+        x += 1
     return pos
 
 

@@ -37,36 +37,9 @@ GAMMA_RATE_QUAD_CLAIMED = 1.0 / 3.0
 # map observables
 
 
-def profile(m: StackMap) -> list[tuple[int, int]]:
-    """Cumulative vertex counts by distance to the root vertex."""
-    d = distance_matrix(m, sources=[0])[0]
-    out = []
-    for t in range(int(d.max()) + 1):
-        out.append((t, int((d <= t).sum())))
-    return out
-
-
 def radius(m: StackMap) -> int:
     """Largest distance from the root vertex."""
     return int(distance_matrix(m, sources=[0])[0].max())
-
-
-def default_scale(family: str, n_internal: int) -> float:
-    if family == maps_mod.TRIANGULATION:
-        return GAMMA_RATE_TRI * math.sqrt(3.0 * n_internal / 2.0)
-    return GAMMA_RATE_QUAD_DERIVED * math.sqrt(2.0 * n_internal)
-
-
-def normalized_distance_matrix(m: StackMap, grid, scale: float | None = None):
-    """Pairwise BFS distances between the internal vertices of lex rank
-    floor(n*s) for s in grid, divided by ``scale``."""
-    words = sorted(m.word_of(v) for v in m.internal_vertex_ids())
-    n = len(words)
-    ids = [m.vertex_of(words[min(int(n * s), n - 1)]) for s in grid]
-    if scale is None:
-        scale = default_scale(m.family, n)
-    sub = distance_matrix(m, sources=ids)[:, ids]
-    return sub / scale
 
 
 # ---------------------------------------------------------------------------
@@ -185,16 +158,16 @@ def enumerate_urn_pmf(n: int, j: int) -> dict[int, Fraction]:
     likely).  Exponential in n; intended for n <= 7."""
     out: dict[int, Fraction] = {}
 
-    def rec(m: maps_mod.StackMap, step: int, prob: Fraction):
-        if step == n - 1:
-            deg = m.degree(m.n_boundary + j - 1)
+    def rec(m: maps_mod.StackMap, history: list, prob: Fraction):
+        if len(history) == n - 1:
+            deg = m.degree(m.vertex_of(history[j - 1]))
             out[deg - 3] = out.get(deg - 3, Fraction(0)) + prob
             return
         leaves = m.leaf_faces()
         for f in leaves:
-            rec(maps_mod.grow(m, f), step + 1, prob / len(leaves))
+            rec(maps_mod.grow(m, f), history + [f], prob / len(leaves))
 
-    rec(maps_mod.theta(), 0, Fraction(1))
+    rec(maps_mod.theta(), [], Fraction(1))
     return out
 
 
@@ -562,35 +535,7 @@ def _subtree_size(offspring, i: int) -> int:
 def degree_from_offspring(offspring, i: int, family: str) -> int:
     """Map degree of the vertex of internal node i, walking only the
     subtree of i on the flat offspring array (no tree object built)."""
-    arity = 3 if family == maps_mod.TRIANGULATION else 2
-    step = maps_mod._tri_step if arity == 3 else maps_mod._quad_step
-    base = 3 if arity == 3 else 2
-    count = 0
-    # stack of (state, children_left) per open ancestor inside the subtree
-    stack = [(maps_mod._START, offspring[i])]
-    j = i
-    while stack:
-        j += 1
-        state, left = stack[-1]
-        letter = arity - left + 1
-        stack[-1] = (state, left - 1)
-        c = offspring[j]
-        if c:
-            new_state, accept = step(state, letter)
-            if new_state is None:
-                # skip the whole subtree of j
-                depth = 1
-                while depth:
-                    depth += offspring[j] - 1
-                    j += 1
-                j -= 1
-            else:
-                if accept:
-                    count += 1
-                stack.append((new_state, c))
-        while stack and stack[-1][1] == 0:
-            stack.pop()
-    return base + count
+    return maps_mod._degree(offspring, i, family)
 
 
 EXPERIMENTS = {

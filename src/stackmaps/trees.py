@@ -60,7 +60,7 @@ class OrderedTree:
     give the parent index and the child letter (root: parent -1, letter 0).
     """
 
-    __slots__ = ("arity", "offspring", "parent", "letter", "_child_start")
+    __slots__ = ("arity", "offspring", "parent", "letter", "_end")
 
     def __init__(self, arity: int, offspring):
         self.arity = arity
@@ -68,7 +68,6 @@ class OrderedTree:
         n = len(self.offspring)
         parent = [-1] * n
         letter = [0] * n
-        child_start = [0] * n
         stack: list[list[int]] = []  # [node, next letter]
         for i, c in enumerate(self.offspring):
             if c not in (0, arity):
@@ -79,8 +78,6 @@ class OrderedTree:
                 top = stack[-1]
                 parent[i] = top[0]
                 letter[i] = top[1]
-                if top[1] == 1:
-                    child_start[top[0]] = i
                 top[1] += 1
                 if top[1] > arity:
                     stack.pop()
@@ -90,7 +87,17 @@ class OrderedTree:
             raise ValueError("offspring sequence is incomplete")
         self.parent = parent
         self.letter = letter
-        self._child_start = child_start
+        # end[i]: one past the last node of the subtree of i.  The first
+        # child of i is i + 1 and each later child starts where its left
+        # sibling's subtree ends, so one reverse pass fills the array.
+        end = list(range(1, n + 1))
+        for i in range(n - 1, -1, -1):
+            if self.offspring[i]:
+                j = i + 1
+                for _ in range(arity):
+                    j = end[j]
+                end[i] = j
+        self._end = end
 
     # -- basic structure ---------------------------------------------------
 
@@ -101,39 +108,22 @@ class OrderedTree:
     def n_internal(self) -> int:
         return sum(1 for c in self.offspring if c)
 
-    @property
-    def n_leaves(self) -> int:
-        return len(self) - self.n_internal
-
-    def is_internal(self, i: int) -> bool:
-        return self.offspring[i] != 0
-
     def children(self, i: int) -> tuple[int, ...]:
         """Child indices of node i in letter order.
 
-        Children of a node are NOT contiguous in preorder; walk subtree
-        boundaries from the first child.
+        Children of a node are NOT contiguous in preorder: the first is
+        i + 1, each later one starts where its left sibling's subtree ends.
         """
         if not self.offspring[i]:
             return ()
-        out = []
-        j = self._child_start[i]
-        for _ in range(self.arity):
-            out.append(j)
-            j = self.subtree_end(j)
+        out = [i + 1]
+        for _ in range(self.arity - 1):
+            out.append(self._end[out[-1]])
         return tuple(out)
-
-    def child(self, i: int, letter: int) -> int:
-        return self.children(i)[letter - 1]
 
     def subtree_end(self, i: int) -> int:
         """Index one past the last node of the subtree rooted at i."""
-        depth = 1
-        j = i
-        while depth:
-            depth += self.offspring[j] - 1
-            j += 1
-        return j
+        return self._end[i]
 
     def depth(self, i: int) -> int:
         d = 0
@@ -156,11 +146,15 @@ class OrderedTree:
         return out
 
     def index_of(self, w: Word) -> int:
+        """Preorder index of the node with word w; KeyError if there is
+        none (a letter outside 1..arity, or a step below a leaf)."""
         i = 0
         for letter in w:
-            if not self.offspring[i]:
+            if not self.offspring[i] or not 1 <= letter <= self.arity:
                 raise KeyError(w)
-            i = self.child(i, letter)
+            i += 1
+            for _ in range(letter - 1):
+                i = self._end[i]
         return i
 
     def internal_indices(self) -> list[int]:
@@ -265,11 +259,6 @@ class IncreasingTree:
 
 # ---------------------------------------------------------------------------
 # structure helpers
-
-
-def internal_nodes_lex(t: OrderedTree) -> list[Word]:
-    """Internal-node words in lexicographic (= preorder) order."""
-    return t.internal_words()
 
 
 def height_process(t: OrderedTree) -> list[int]:

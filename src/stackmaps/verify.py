@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import fragmentation, localtopo, maps, stats, trees
+from .counting import count_trees
 from .passage import gamma, gamma_pair, quad_root_distance, quad_type, tri_root_distance, tri_type
 
 
@@ -23,18 +24,12 @@ def _all_words(arity, max_len):
 def check_enum_counts(level, mx):
     n_max = 5 if level == "quick" else 6
     for n in range(n_max + 1):
-        if len(trees.enumerate_trees(3, n)) != counting_trees(3, n):
+        if len(trees.enumerate_trees(3, n)) != count_trees(3, n):
             return False, f"ternary n={n}"
     for n in range(n_max + 3):
-        if len(trees.enumerate_trees(2, n)) != counting_trees(2, n):
+        if len(trees.enumerate_trees(2, n)) != count_trees(2, n):
             return False, f"binary n={n}"
     return True, f"n<={n_max}"
-
-
-def counting_trees(a, n):
-    from .counting import count_trees
-
-    return count_trees(a, n)
 
 
 def check_gamma_eq_type(level, mx):
@@ -147,7 +142,7 @@ def check_histories(level, mx):
 
 
 def check_forest_consistency(level, mx):
-    from .counting import count_forests, count_trees
+    from .counting import count_forests
 
     for n in range(8):
         if count_forests(3, 1, 3 * n + 1) != count_trees(3, n):

@@ -112,6 +112,20 @@ def test_stats_csv_and_json():
     assert "," in rc.stdout
 
 
+@pytest.mark.parametrize("args", [
+    ["--experiment", "gamma-rate", "--n", "0"],
+    ["--experiment", "tri-depth", "--n", "1"],
+    ["--experiment", "gamma-rate", "--reps", "0"],
+    ["--experiment", "typical-distance", "--n", "1000"],
+    ["--experiment", "radius-scaling", "--n", "1000"],
+], ids=["gamma-rate-n0", "tri-depth-n1", "reps0", "typical-distance-n", "radius-scaling-n"])
+def test_stats_rejects_bad_sizes(args, capsys):
+    assert main(["stats"] + args) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_frag_and_ball():
     r = run_cli(["frag", "--arity", "3", "--k", "5", "--seed", "1"])
     assert r.returncode == 0

@@ -76,6 +76,36 @@ def test_map_from_history_matches_tree():
     assert m1 == m2
 
 
+@pytest.mark.parametrize("family, arity", [(TRIANGULATION, 3), (QUADRANGULATION, 2)])
+def test_map_from_history_numbers_vertices_in_preorder(family, arity):
+    # a growth-law skeleton is a random insertion order; the map, vertex
+    # ids included, depends only on the tree
+    for r in range(20):
+        it = sample_increasing_tree(arity, 30, rng_from_seed(17, r))
+        m = map_from_history(it.skeleton, family)
+        assert m.adjacency == map_from_tree(it.shape(), family).adjacency
+
+
+def test_grow_and_history_reject_bad_faces():
+    m = grow(theta(TRIANGULATION), ())
+    for face in [(0,), (-1,), (4,), (1, 1), ()]:
+        with pytest.raises(ValueError):
+            grow(m, face)
+    for history in [[(1,)], [(), ()], [(), (0,)], [(), (1, 1)]]:
+        with pytest.raises(ValueError):
+            map_from_history(history, TRIANGULATION)
+
+
+@pytest.mark.parametrize("family, arity", [(TRIANGULATION, 3), (QUADRANGULATION, 2)])
+def test_word_of_and_vertex_of_are_inverse(family, arity):
+    path = OrderedTree.from_internal_words(arity, [(1,) * k for k in range(2000)])
+    for t in (sample_uniform_tree(arity, 300, rng_from_seed(18)), path):
+        m = map_from_tree(t, family)
+        for v in range(m.n_boundary, m.n_vertices):
+            assert m.vertex_of(m.word_of(v)) == v
+        assert [m.word_of(m.vertex_of(w)) for w in t.internal_words()] == t.internal_words()
+
+
 def test_roundtrip_exhaustive_small():
     for family, arity in ((TRIANGULATION, 3), (QUADRANGULATION, 2)):
         for n in range(5):
@@ -126,7 +156,6 @@ def _non_stack_triangulation() -> StackMap:
         adj[v].append(u)
     m = StackMap(TRIANGULATION)
     m.adjacency = adj
-    m.vertex_words = [None] * 6
     return m
 
 
@@ -220,6 +249,12 @@ def test_degree_literal_quad_disagrees_somewhere():
     assert found
 
 
+def test_degree_literal_quad_on_leaves():
+    # a leaf has no descendants: the walk must not read the nodes after it
+    t = OrderedTree(2, [2, 0, 2, 0, 0])
+    assert [degree_via_tree_literal_quad(t, w) for w in t.words()] == [2, 2, 2, 2, 2]
+
+
 def test_mean_degree_bound():
     # sum of degrees = 2E; triangulations have E = 3 + 3n
     rng = rng_from_seed(10)
@@ -256,7 +291,7 @@ def test_json_roundtrip():
 
     m2 = StackMap.from_json_dict(json.loads(m.to_json()))
     assert m == m2
-    assert m2.faces == m.faces
+    assert m2.adjacency == m.adjacency
 
 
 def test_drawing_and_svg():

@@ -11,7 +11,6 @@ from stackmaps.trees import (
     OrderedTree,
     enumerate_trees,
     height_process,
-    internal_nodes_lex,
     is_valid_tree,
     lca,
     offspring_from_internal_words,
@@ -47,6 +46,28 @@ def test_children_not_contiguous():
     t = OrderedTree(3, [3, 3, 0, 0, 0, 0, 0])
     kids = t.children(0)
     assert [t.word(i) for i in kids] == [(1,), (2,), (3,)]
+
+
+def test_index_of_rejects_letters_outside_alphabet():
+    t = OrderedTree(3, [3, 0, 0, 0])
+    for w in [(0,), (-1,), (4,), (1, 1)]:
+        with pytest.raises(KeyError):
+            t.index_of(w)
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_child_access_matches_word_set(arity):
+    # reference: children, subtree ends and indices read off the word list
+    rng = rng_from_seed(31)
+    for n in (0, 1, 5, 40):
+        t = sample_uniform_tree(arity, n, rng)
+        words = t.words()
+        index = {w: i for i, w in enumerate(words)}
+        for i, w in enumerate(words):
+            kids = tuple(index[w + (a,)] for a in range(1, arity + 1)) if t.offspring[i] else ()
+            assert t.children(i) == kids
+            assert t.subtree_end(i) == i + sum(1 for v in words if v[: len(w)] == w)
+            assert t.index_of(w) == i
 
 
 def test_from_internal_words_matches_offspring():
@@ -112,7 +133,7 @@ def test_height_process_matches_word_depths():
     rng = rng_from_seed(11)
     t = sample_uniform_tree(3, 50, rng)
     hp = height_process(t)
-    assert hp == [len(w) for w in internal_nodes_lex(t)]
+    assert hp == [len(w) for w in t.internal_words()]
 
 
 def test_sample_uniform_tree_valid_and_uniform():
