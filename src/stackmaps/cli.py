@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -101,6 +102,11 @@ def cmd_stats(args) -> int:
             raise ValueError(f"--reps must be at least 1, got {args.reps}")
         params["reps"] = args.reps
     report = stats.run_experiment(args.experiment, params, _seed(args))
+    nonfinite = [k for k, v in report.estimates.items()
+                 if isinstance(v, float) and not math.isfinite(v)]
+    if nonfinite:
+        raise ValueError(f"{args.experiment} gives a non-finite {', '.join(nonfinite)}: "
+                         "too few samples for the test; raise --reps")
     text = report.to_csv() if args.format == "csv" else report.to_json()
     _emit(text, args.out)
     return 0

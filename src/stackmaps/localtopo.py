@@ -12,7 +12,7 @@ import math
 
 from . import maps as maps_mod
 from .maps import StackMap, canonical_drawing, distance_matrix
-from .passage import quad_root_distance, tri_root_distance
+from .passage import quad_root_distance, quad_type, tri_root_distance, tri_type
 from .trees import CapExceeded, OrderedTree, Word
 
 
@@ -94,84 +94,76 @@ def map_ball_code(m: StackMap, r: int):
 # passage-function balls
 
 
-def _root_dist(arity: int):
-    return tri_root_distance if arity == 3 else quad_root_distance
+#: face-type fold of each arity
+_FOLD = {3: tri_type, 2: quad_type}
 
 
 def gamma_ball(t: OrderedTree, r: int) -> set[Word]:
     """All nodes of t whose passage value is at most r.  Uses monotonicity
     of the minimum face-corner distance to prune whole subtrees."""
-    f = _root_dist(t.arity)
+    fold = _FOLD[t.arity]
+    dist = tri_root_distance if t.arity == 3 else quad_root_distance
     out: set[Word] = set()
     words = t.words()
     skip_end = -1
     for i, w in enumerate(words):
         if i < skip_end:
             continue
-        if f(w) <= r:
+        if dist(w) <= r:
             out.add(w)
-        elif _min_corner(t.arity, w) + 1 > r:
+        elif 1 + min(fold(w)) > r:
             skip_end = t.subtree_end(i)
     return out
-
-
-def _min_corner(arity: int, w: Word) -> int:
-    from .passage import quad_type, tri_type
-
-    return min(tri_type(w)) if arity == 3 else min(quad_type(w))
 
 
 def sample_spine_tree(arity: int, r: int, rng, cap: int = 10**6,
                       return_spine: bool = False):
     """Finite truncation of the local limit of large uniform trees: a spine
     of i.i.d. uniform letters dressed with independent critical GW trees on
-    the off-spine children, grown until the spine tip leaves the radius-r
-    passage ball.  Grafts are pruned one ring past the ball."""
+    the off-spine children, grown until the spine tip reaches a face beyond
+    the radius-r passage ball (every corner at distance >= r, so no vertex
+    inserted at or below it is in the ball).  Grafts are pruned the same
+    way."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    type_seed = (0, 1, 1) if arity == 3 else (1, 2, 1, 0)
+    fold = _FOLD[arity]
     internal: list[Word] = []
     budget = [cap]
 
     spine: Word = ()
-    tp = type_seed
+    tp = fold(())
     while 1 + min(tp) <= r:
         internal.append(spine)
         letter = int(rng.integers(1, arity + 1))
         for other in range(1, arity + 1):
             if other != letter:
-                _graft(arity, spine + (other,), _evolve(arity, tp, other), r, rng,
+                _graft(arity, spine + (other,), fold((other,), tp), r, rng,
                        internal, budget)
         spine = spine + (letter,)
-        tp = _evolve(arity, tp, letter)
+        tp = fold((letter,), tp)
     t = OrderedTree.from_internal_words(arity, internal)
     return (t, spine) if return_spine else t
 
 
-def _evolve(arity: int, tp, letter: int):
-    g = 1 + min(tp)
-    if arity == 3:
-        out = list(tp)
-        out[letter - 1] = g
-        return tuple(out)
-    a, b, c, d = tp
-    return (b, g, d, a) if letter == 1 else (b, g, d, c)
-
-
 def _graft(arity, word, tp, r, rng, internal, budget) -> None:
-    """Critical GW tree rooted at ``word``, truncated to a leaf wherever the
-    minimum corner distance proves the subtree cannot meet the ball."""
-    if min(tp) + 1 > r:
-        return
-    if budget[0] <= 0:
-        raise CapExceeded("spine graft exceeded node cap")
-    budget[0] -= 1
-    if rng.random() >= 1.0 / arity:
-        return  # leaf
-    internal.append(word)
-    for letter in range(1, arity + 1):
-        _graft(arity, word + (letter,), _evolve(arity, tp, letter), r, rng,
-               internal, budget)
+    """Critical GW tree rooted at ``word`` (face type ``tp``), truncated to
+    a leaf wherever the minimum corner distance proves the subtree cannot
+    meet the ball.  Iterative: children are pushed in reverse letter order,
+    so nodes are visited, and draw from ``rng``, in preorder."""
+    fold = _FOLD[arity]
+    stack = [(word, tp)]
+    while stack:
+        word, tp = stack.pop()
+        if min(tp) + 1 > r:
+            continue
+        if budget[0] <= 0:
+            raise CapExceeded("spine graft exceeded node cap")
+        budget[0] -= 1
+        if rng.random() >= 1.0 / arity:
+            continue  # leaf
+        internal.append(word)
+        for letter in range(arity, 0, -1):
+            stack.append((word + (letter,), fold((letter,), tp)))
 
 
 def infinite_map_ball(t: OrderedTree, r: int) -> StackMap:

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from .trees import OrderedTree, Word
+from .trees import OrderedTree, Word, _subtree_end
 
 TRIANGULATION = "triangulation"
 QUADRANGULATION = "quadrangulation"
@@ -508,12 +508,7 @@ def _count_accepted(offspring, i: int, arity: int, step) -> int:
         if c:
             new_state, accept = step(state, letter)
             if new_state is None:
-                # skip the whole subtree of j
-                depth = 1
-                while depth:
-                    depth += offspring[j] - 1
-                    j += 1
-                j -= 1
+                j = _subtree_end(offspring, j) - 1
             else:
                 if accept:
                     count += 1

@@ -15,8 +15,6 @@ comparison; its renewal rate is 1/5 rather than 1/3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .trees import Word, lca
 
 FULL_MASK = 0b111
@@ -54,30 +52,6 @@ def gamma(word: Word) -> int:
     return len(tau_decomposition(word))
 
 
-@dataclass
-class GammaState:
-    """Streaming automaton computing gamma letter by letter in O(1) space."""
-
-    count: int = 1
-    seen: int = 0
-    waiting_for_one: bool = True
-
-    def push(self, letter: int) -> int:
-        if self.waiting_for_one:
-            if letter == 1:
-                self.count += 1
-                self.waiting_for_one = False
-        else:
-            self.seen |= 1 << (letter - 1)
-            if self.seen == FULL_MASK:
-                self.count += 1
-                self.seen = 0
-        return self.count
-
-    def copy(self) -> "GammaState":
-        return GammaState(self.count, self.seen, self.waiting_for_one)
-
-
 def gamma_pair(u: Word, v: Word) -> int:
     """Sum of the block counts of the suffixes of u and v past their last
     common ancestor.  Defined only when neither word is a prefix of the
@@ -91,13 +65,15 @@ def gamma_pair(u: Word, v: Word) -> int:
 TriFaceType = tuple[int, int, int]
 
 
-def tri_type(word: Word) -> TriFaceType:
+def tri_type(word: Word, start: TriFaceType = (0, 1, 1)) -> TriFaceType:
     """Distances to the root vertex of the three corners of the face
-    reached by the word, folding the evolution rules from (0, 1, 1):
+    reached by the word, folding the evolution rules from the type
+    ``start`` of the face the word starts in (default: the root face):
     letter l replaces corner l by a new vertex at distance 1 + min."""
-    i, j, k = 0, 1, 1
+    i, j, k = start
     for letter in word:
-        g = 1 + min(i, j, k)
+        g = i if i < j else j
+        g = 1 + (g if g < k else k)
         if letter == 1:
             i = g
         elif letter == 2:
@@ -121,13 +97,14 @@ def tri_root_distance(word: Word) -> int:
 QuadFaceType = tuple[int, int, int, int]
 
 
-def quad_type(word: Word) -> QuadFaceType:
+def quad_type(word: Word, start: QuadFaceType = (1, 2, 1, 0)) -> QuadFaceType:
     """Distances to the root vertex of the four corners (in construction
     order) of the face reached by the word; folds the rules
-    (a,b,c,d) -> (b, 1+b∧d, d, a) / (b, 1+b∧d, d, c) from (1, 2, 1, 0)."""
-    a, b, c, d = 1, 2, 1, 0
+    (a,b,c,d) -> (b, 1+b∧d, d, a) / (b, 1+b∧d, d, c) from the type
+    ``start`` of the face the word starts in (default: the root face)."""
+    a, b, c, d = start
     for letter in word:
-        x = 1 + min(b, d)
+        x = 1 + (b if b < d else d)
         if letter == 1:
             a, b, c, d = b, x, d, a
         elif letter == 2:

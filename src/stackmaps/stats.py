@@ -21,7 +21,7 @@ from . import maps as maps_mod
 from . import trees as trees_mod
 from .counting import count_forests, count_trees
 from .maps import StackMap, distance_matrix
-from .passage import GammaState, gamma_prime_literal
+from .passage import gamma, gamma_prime_literal, quad_root_distance
 from .trees import OrderedTree, rng_from_seed
 
 #: renewal rate of the block count on uniform ternary letters
@@ -218,8 +218,12 @@ class EmpiricalPMF:
 
     def chisquare_pvalue(self, pmf, support_start: int = 0, min_expected: float = 5.0) -> float:
         """Goodness of fit against ``pmf(k)``, merging the upper tail so
-        every expected count is at least ``min_expected``."""
+        every expected count is at least ``min_expected``.  Raises
+        ValueError on an empty sample; gives NaN when fewer than two bins
+        remain, which leaves the test no degree of freedom."""
         n = self.n
+        if not n:
+            raise ValueError("chi-square test on an empty sample")
         kmax = max(self.counts)
         obs, exp = [], []
         acc_o, acc_e = 0.0, 0.0
@@ -241,6 +245,8 @@ class EmpiricalPMF:
         else:
             obs.append(acc_o)
             exp.append(acc_e)
+        if len(obs) < 2:
+            return math.nan
         stat, p = sps.chisquare(obs, exp)
         return float(p)
 
@@ -299,12 +305,8 @@ def _exp_gamma_rate(params, seed):
     vals = []
     for r in range(reps):
         rng = rng_from_seed(seed, r)
-        letters = rng.integers(1, 4, size=n)
-        st = GammaState()
-        push = st.push
-        for x in letters.tolist():
-            push(x)
-        vals.append((st.count - 1) / n)
+        letters = rng.integers(1, 4, size=n).tolist()
+        vals.append((gamma(letters) - 1) / n)
     mean, se = _mean_se(vals)
     tol = float(params.get("tol", 0.005))
     return ExperimentReport(
@@ -322,14 +324,7 @@ def _exp_quad_rate(params, seed):
     for r in range(reps):
         rng = rng_from_seed(seed, r)
         letters = rng.integers(1, 3, size=n).tolist()
-        a, b, c, d = 1, 2, 1, 0
-        for x in letters:
-            m = 1 + (b if b < d else d)
-            if x == 1:
-                a, b, c, d = b, m, d, a
-            else:
-                a, b, c, d = b, m, d, c
-        auto_vals.append((1 + min(b, d)) / n)
+        auto_vals.append(quad_root_distance(letters) / n)
         lit_vals.append((gamma_prime_literal(tuple(letters)) - 1) / n)
     mean_a, se_a = _mean_se(auto_vals)
     mean_l, se_l = _mean_se(lit_vals)
@@ -363,8 +358,7 @@ def _exp_typical_distance(params, seed):
         vals = []
         for r in range(reps):
             rng = rng_from_seed(seed, si * 10**6 + r)
-            t = trees_mod.sample_increasing_tree(3, n, rng)
-            off = trees_mod.offspring_from_internal_words(3, t.skeleton)
+            off = trees_mod.sample_increasing_tree(3, n, rng).offspring()
             adj = maps_mod.adjacency_from_offspring(off, maps_mod.TRIANGULATION)
             nb = maps_mod._N_BOUNDARY[maps_mod.TRIANGULATION]
             ids = rng.integers(nb, len(adj), size=2)
@@ -390,22 +384,6 @@ def _exp_typical_distance(params, seed):
     )
 
 
-def _increasing_depth_samples(arity: int, n: int, window: int, rng) -> np.ndarray:
-    """Depths of the last ``window`` inserted internal nodes of one
-    leaf-growth tree with n internal nodes (flat-array construction)."""
-    depths = np.zeros(n, dtype=np.int32)
-    leaf_depth = [1] * arity
-    picks = rng.integers(0, 1 + (arity - 1) * np.arange(1, n), dtype=np.int64)
-    for k in range(1, n):
-        j = int(picks[k - 1])
-        d = leaf_depth[j]
-        depths[k] = d
-        leaf_depth[j] = leaf_depth[-1]
-        leaf_depth.pop()
-        leaf_depth.extend([d + 1] * arity)
-    return depths[n - window:] if window < n else depths
-
-
 def _exp_depth(arity, name, params, seed):
     n = int(params.get("n", 10**5))
     reps = int(params.get("reps", 30))
@@ -413,8 +391,8 @@ def _exp_depth(arity, name, params, seed):
     all_means = []
     for r in range(reps):
         rng = rng_from_seed(seed, r)
-        ds = _increasing_depth_samples(arity, n, window, rng)
-        all_means.append(float(ds.mean()))
+        depths = trees_mod.sample_increasing_tree(arity, n, rng).depths()
+        all_means.append(float(np.mean(depths[max(n - window, 0):])))
     mean, se = _mean_se(all_means)
     if arity == 3:
         refs = [{"name": "centering", "value": 1.5 * log(n), "provenance": "analytic-clt"}]
@@ -505,7 +483,7 @@ def _exp_subtree_size(params, seed):
     for _ in range(reps):
         off = trees_mod.sample_offspring_sequence(3, n, rng)
         i = _uniform_internal_pick(off, rng)
-        k = (_subtree_size(off, i) - 1) // 3
+        k = (trees_mod._subtree_end(off, i) - i - 1) // 3
         if k <= kmax:
             emp.add(k)
         else:
@@ -521,15 +499,6 @@ def _exp_subtree_size(params, seed):
         [{"name": "pmf", "value": "subtree_size", "provenance": "analytic-formula"}],
         passed=p > 0.01,
     )
-
-
-def _subtree_size(offspring, i: int) -> int:
-    depth = 1
-    j = i
-    while depth:
-        depth += offspring[j] - 1
-        j += 1
-    return j - i
 
 
 def degree_from_offspring(offspring, i: int, family: str) -> int:

@@ -9,7 +9,7 @@ is computed on demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -237,24 +237,58 @@ class OrderedTree:
 
 @dataclass
 class IncreasingTree:
-    """Internal-node skeleton of a full tree plus insertion ranks.
+    """Leaf-growth tree, held as one flat list in insertion order.
 
-    ``skeleton`` lists the internal-node words in insertion order, so
-    label(skeleton[k]) = k+1 and labels increase along branches.
+    Internal node k (k = 0..K-1) is the one inserted at step k, node 0
+    being the root, so labels increase along branches.  ``slot[k] =
+    arity * parent + letter - 1`` names the leaf it replaced, child
+    ``letter`` of internal node ``parent``; ``slot[0]`` is -1.  The word
+    views ``skeleton`` and ``labels`` are built on demand, for the API.
     """
 
     arity: int
-    skeleton: list[Word] = field(default_factory=list)
+    slot: list[int]
+
+    @property
+    def skeleton(self) -> list[Word]:
+        """Internal-node words in insertion order: label(skeleton[k]) = k+1."""
+        a = self.arity
+        out: list[Word] = [ROOT]
+        for s in self.slot[1:]:
+            out.append(out[s // a] + (s % a + 1,))
+        return out
 
     @property
     def labels(self) -> dict[Word, int]:
         return {w: k + 1 for k, w in enumerate(self.skeleton)}
 
+    def offspring(self) -> list[int]:
+        """Preorder offspring sequence of the shape, in O(n)."""
+        a = self.arity
+        child = [-1] * (a * len(self.slot))  # node in each slot, -1 for a leaf
+        for k in range(1, len(self.slot)):
+            child[self.slot[k]] = k
+        out: list[int] = []
+        stack = [0]
+        while stack:
+            v = stack.pop()
+            if v < 0:
+                out.append(0)
+            else:
+                out.append(a)
+                stack.extend(reversed(child[a * v:a * v + a]))
+        return out
+
     def shape(self) -> OrderedTree:
-        return OrderedTree.from_internal_words(self.arity, self.skeleton)
+        return OrderedTree(self.arity, self.offspring())
 
     def depths(self) -> list[int]:
-        return [len(w) for w in self.skeleton]
+        """Depths of the internal nodes in insertion order."""
+        a = self.arity
+        depth = [0]
+        for s in self.slot[1:]:
+            depth.append(depth[s // a] + 1)
+        return depth
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +307,16 @@ def tree_distance(u: Word, v: Word) -> int:
     """Graph distance between two nodes of a tree, as words."""
     w = lca(u, v)
     return (len(u) - len(w)) + (len(v) - len(w))
+
+
+def _subtree_end(offspring, i: int) -> int:
+    """Index one past the subtree of node i, read off the flat preorder
+    offspring sequence alone (no tree object built)."""
+    depth = 1
+    while depth:
+        depth += offspring[i] - 1
+        i += 1
+    return i
 
 
 def offspring_from_internal_words(arity: int, internal) -> list[int]:
@@ -374,20 +418,24 @@ def sample_increasing_tree(arity: int, K: int, rng) -> IncreasingTree:
     uniformly chosen leaf by an internal node with ``arity`` children.
 
     The unlabeled shape follows the growth distribution (weight proportional
-    to the number of increasing labelings).
+    to the number of increasing labelings).  Step k picks entry
+    ``picks[k-1]`` of the leaf list, which then holds 1 + (arity-1)k
+    leaves, and all picks come from one draw.  The picked leaf's entry
+    takes the last leaf, and the new node's children are appended in
+    letter order.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    skeleton: list[Word] = [ROOT]
-    leaves: list[Word] = [ROOT + (i,) for i in range(1, arity + 1)]
-    for _ in range(K - 1):
-        j = int(rng.integers(len(leaves)))
-        u = leaves[j]
+    picks = rng.integers(0, 1 + (arity - 1) * np.arange(1, K), dtype=np.int64)
+    slot = [-1]
+    leaves = list(range(arity))
+    # base = arity * k: the first slot of node k
+    for j, base in zip(picks.tolist(), range(arity, arity * K, arity)):
+        slot.append(leaves[j])
         leaves[j] = leaves[-1]
         leaves.pop()
-        skeleton.append(u)
-        leaves.extend(u + (i,) for i in range(1, arity + 1))
-    return IncreasingTree(arity, skeleton)
+        leaves.extend(range(base, base + arity))
+    return IncreasingTree(arity, slot)
 
 
 class CapExceeded(RuntimeError):

@@ -118,7 +118,11 @@ def test_stats_csv_and_json():
     ["--experiment", "gamma-rate", "--reps", "0"],
     ["--experiment", "typical-distance", "--n", "1000"],
     ["--experiment", "radius-scaling", "--n", "1000"],
-], ids=["gamma-rate-n0", "tri-depth-n1", "reps0", "typical-distance-n", "radius-scaling-n"])
+    # too few samples for a chi-square test: one bin, and no sample in range
+    ["--experiment", "degree-uniform", "--n", "2", "--reps", "1"],
+    ["--experiment", "subtree-size", "--reps", "1"],
+], ids=["gamma-rate-n0", "tri-depth-n1", "reps0", "typical-distance-n", "radius-scaling-n",
+        "degree-uniform-one-bin", "subtree-size-empty"])
 def test_stats_rejects_bad_sizes(args, capsys):
     assert main(["stats"] + args) == 1
     out, err = capsys.readouterr()

@@ -10,7 +10,7 @@ from stackmaps.localtopo import (
     sample_spine_tree,
 )
 from stackmaps.maps import QUADRANGULATION, TRIANGULATION, map_from_tree
-from stackmaps.passage import tri_root_distance
+from stackmaps.passage import quad_type, tri_root_distance, tri_type
 from stackmaps.stats import EmpiricalPMF
 from stackmaps.trees import OrderedTree, rng_from_seed, sample_uniform_tree
 
@@ -116,6 +116,42 @@ def test_spine_length_mean():
         lengths.append(len(spine))
     mean = sum(lengths) / len(lengths)
     assert abs(mean - 11 * r / 2) / (11 * r / 2) < 0.15
+
+
+@pytest.mark.parametrize("arity,fold", [(3, tri_type), (2, quad_type)], ids=["tri", "quad"])
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_spine_ends_at_first_face_beyond_ball(arity, fold, r):
+    # the spine stops at the first prefix whose face has every corner at
+    # distance >= r, as passage's fold computes the corner distances
+    for rep in range(40):
+        _, spine = sample_spine_tree(arity, r, rng_from_seed(65, rep), return_spine=True)
+        assert 1 + min(fold(spine)) > r
+        assert all(1 + min(fold(spine[:k])) <= r for k in range(len(spine)))
+
+
+class _DeepGraftRng:
+    """Spine letters 1, 1, 2, 3, whose face (2, 2, 2) leaves the radius-2
+    ball; ``random()`` makes the first 3000 graft nodes internal, then
+    every node a leaf."""
+
+    def __init__(self):
+        self.letters = iter([1, 1, 2, 3])
+        self.draws = 0
+
+    def integers(self, low, high):
+        return next(self.letters)
+
+    def random(self):
+        self.draws += 1
+        return 0.0 if self.draws <= 3000 else 0.99
+
+
+def test_graft_deeper_than_recursion_limit():
+    # the graft at (2,) follows 1^k, whose faces all stay at root distance
+    # 2, so it is a path of 3000 internal nodes
+    t, spine = sample_spine_tree(3, 2, _DeepGraftRng(), return_spine=True)
+    assert spine == (1, 1, 2, 3)
+    assert (2,) + (1,) * 2999 in set(t.internal_words())
 
 
 def test_spine_tree_ball_finite_and_deterministic():

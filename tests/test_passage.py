@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stackmaps.passage import (
-    GammaState,
     gamma,
     gamma_pair,
     gamma_prime_literal,
@@ -34,22 +33,6 @@ def test_gamma_small():
     assert gamma(w("3")) == 1
     assert gamma(w("21")) == 2
     assert gamma(w("123")) == 2
-
-
-def test_gamma_streaming_state_matches_batch():
-    word = w("2212312213123321")
-    st_ = GammaState()
-    for i, letter in enumerate(word, start=1):
-        assert st_.push(letter) == gamma(word[:i])
-
-
-def test_gamma_state_copy_independent():
-    a = GammaState()
-    a.push(2)
-    b = a.copy()
-    b.push(1)
-    assert a.count == gamma(w("2"))
-    assert b.count == gamma(w("21"))
 
 
 def test_tri_type_seed_and_step():
@@ -119,6 +102,16 @@ def test_tri_type_entries_are_corner_distances(letters):
     tp = tri_type(u)
     assert tri_root_distance(u) == 1 + min(tp)
     assert max(tp) - min(tp) <= 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fold_resumes_from_start_type(data):
+    # folding u then v from the type u reaches is folding u + v
+    for fold, arity in ((tri_type, 3), (quad_type, 2)):
+        u = tuple(data.draw(st.lists(st.integers(1, arity), max_size=10)))
+        v = tuple(data.draw(st.lists(st.integers(1, arity), max_size=10)))
+        assert fold(v, fold(u)) == fold(u + v)
 
 
 @settings(max_examples=200, deadline=None)

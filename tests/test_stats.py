@@ -1,6 +1,7 @@
 """Degree laws, urn model, experiment harness."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -141,6 +142,10 @@ def test_empirical_pmf_chisquare_sane():
     p_bad = emp.chisquare_pvalue(lambda k: 0.5 * 0.5**k)
     assert p_good > 0.01
     assert p_bad < 1e-6
+    # one bin leaves no degree of freedom; an empty sample is an error
+    assert math.isnan(EmpiricalPMF.from_samples([1]).chisquare_pvalue(lambda k: 0.5**(k + 1)))
+    with pytest.raises(ValueError, match="empty sample"):
+        EmpiricalPMF().chisquare_pvalue(lambda k: 0.5**(k + 1))
 
 
 def test_experiment_report_serialization():

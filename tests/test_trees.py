@@ -176,6 +176,33 @@ def test_increasing_tree_first_split_uniform():
         assert abs(c / 3000 - 1 / 3) < 0.04
 
 
+def _increasing_skeleton_reference(arity, K, rng):
+    """Leaf growth one draw per step, on word tuples."""
+    skeleton = [()]
+    leaves = [(i,) for i in range(1, arity + 1)]
+    for _ in range(K - 1):
+        j = int(rng.integers(len(leaves)))
+        u = leaves[j]
+        leaves[j] = leaves[-1]
+        leaves.pop()
+        skeleton.append(u)
+        leaves.extend(u + (i,) for i in range(1, arity + 1))
+    return skeleton
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+@pytest.mark.parametrize("K", [1, 2, 50, 2000])
+def test_increasing_tree_matches_per_step_reference(arity, K):
+    # same picks from the same stream, and the same stream left behind
+    rng, ref_rng = rng_from_seed(31, K), rng_from_seed(31, K)
+    it = sample_increasing_tree(arity, K, rng)
+    skeleton = _increasing_skeleton_reference(arity, K, ref_rng)
+    assert it.skeleton == skeleton
+    assert rng.random() == ref_rng.random()
+    assert it.shape() == OrderedTree.from_internal_words(arity, skeleton)
+    assert it.depths() == [len(w) for w in skeleton]
+
+
 def test_sample_gw_tree_cap():
     with pytest.raises(CapExceeded):
         for r in range(500):
