@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: sample, enumerate, count, verify, stats, draw, frag, ball,
-passage.  Exit codes: 0 success, 1 usage error, 2 failed verification.
+passage.  Exit codes: 0 success, 1 usage error (a flag out of its range
+included) or a sampler over its node cap, 2 failed verification.
 The seed comes from --seed, falling back to the STACKMAP_SEED environment
 variable, then 0; identical invocations produce byte-identical output.
 """
@@ -27,6 +28,16 @@ from .passage import (
 FAMILIES = {"tri": maps.TRIANGULATION, "quad": maps.QUADRANGULATION}
 ARITY = {"tri": 3, "quad": 2}
 
+# Inclusive ranges of the numeric flags.  The upper ends keep one run to
+# seconds and a few hundred MB: `sample --size 100000` takes about 2 s and
+# 180 MB, `frag --k 100000` about 15 s and 300 MB, `ball --r 30` about 2 s.
+# (`enumerate --size` is bounded by trees.DEFAULT_EXHAUSTIVE_BOUND.)
+SIZE_RANGE = (0, 10**5)  # sample --size, draw --size
+FRAG_K_RANGE = (1, 10**5)
+BALL_R_RANGE = (1, 30)
+STATS_N_RANGE = (2, 10**6)
+STATS_REPS_RANGE = (1, 10**6)
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -50,7 +61,14 @@ def _seed(args) -> int:
     return int(os.environ.get("STACKMAP_SEED", "0"))
 
 
+def _check_range(flag: str, value: int, bounds: tuple[int, int]) -> None:
+    lo, hi = bounds
+    if not lo <= value <= hi:
+        raise ValueError(f"--{flag} must be in [{lo}, {hi}], got {value}")
+
+
 def _sample_tree(family: str, law: str, size: int, seed: int) -> trees.OrderedTree:
+    _check_range("size", size, SIZE_RANGE)
     rng = trees.rng_from_seed(seed)
     arity = ARITY[family]
     if law == "uniform":
@@ -94,12 +112,10 @@ def cmd_stats(args) -> int:
     if args.n is not None:
         if args.experiment in _SIZED_EXPERIMENTS:
             raise ValueError(f"--n does not apply to {args.experiment}, which runs fixed sizes")
-        if args.n < 2:
-            raise ValueError(f"--n must be at least 2, got {args.n}")
+        _check_range("n", args.n, STATS_N_RANGE)
         params["n"] = args.n
     if args.reps is not None:
-        if args.reps < 1:
-            raise ValueError(f"--reps must be at least 1, got {args.reps}")
+        _check_range("reps", args.reps, STATS_REPS_RANGE)
         params["reps"] = args.reps
     report = stats.run_experiment(args.experiment, params, _seed(args))
     nonfinite = [k for k, v in report.estimates.items()
@@ -120,6 +136,7 @@ def cmd_draw(args) -> int:
 
 
 def cmd_frag(args) -> int:
+    _check_range("k", args.k, FRAG_K_RANGE)
     rng = trees.rng_from_seed(_seed(args))
     ft = fragmentation.build_fragmentation_tree(args.arity, args.k, rng)
     _emit(ft.to_json(), args.out)
@@ -127,6 +144,7 @@ def cmd_frag(args) -> int:
 
 
 def cmd_ball(args) -> int:
+    _check_range("r", args.r, BALL_R_RANGE)
     rng = trees.rng_from_seed(_seed(args))
     t = localtopo.sample_spine_tree(ARITY[args.family], args.r, rng)
     m = localtopo.infinite_map_ball(t, args.r)
@@ -247,7 +265,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, KeyError) as e:
+    except (ValueError, KeyError, trees.CapExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -18,10 +18,9 @@ boundary.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from .trees import OrderedTree, Word, _subtree_end
 
@@ -133,10 +132,6 @@ class StackMap:
 
     def degree(self, vid: int) -> int:
         return len(self.adjacency[vid])
-
-    def _add_edge(self, u: int, v: int) -> None:
-        self.adjacency[u].append(v)
-        self.adjacency[v].append(u)
 
     # -- equality: the tree determines the map ------------------------------
 
@@ -328,68 +323,145 @@ def _unpeeled_neighbours(adj, x, deg, removed, birth) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# adjacency and BFS on flat arrays
+# the map on flat arrays: birth corners, CSR adjacency, frontier BFS
+#
+# A map's graph is a CSR pair (indptr, indices) of int64 arrays: the
+# neighbours of vertex v are indices[indptr[v]:indptr[v + 1]], in the order
+# the edges were made.
+
+# rows of the boundary vertices: the ring edges 0-1, 1-2, ..., (nb-1)-0 are
+# made in that order, so vertex 0 lists 1 before nb-1
+_RING_ROWS = {TRIANGULATION: ((1, 2), (0, 2), (1, 0)),
+              QUADRANGULATION: ((1, 3), (0, 2), (1, 3), (2, 0))}
+
+
+def _birth_corners(offspring, family: str) -> list[int]:
+    """Flat list of the birth corners of the internal vertices, in preorder:
+    the k entries from k*j on (k the arity) are the corners the j-th
+    internal vertex is joined to.  One pass over the offspring sequence with
+    a stack of the faces still to visit; it inlines ``_SPLIT`` for speed."""
+    if isinstance(offspring, np.ndarray):
+        offspring = offspring.tolist()  # Python ints iterate faster
+    corners: list[int] = []
+    x = _N_BOUNDARY[family]
+    stack = [_ROOT_FACE[family]]
+    try:
+        if family == TRIANGULATION:
+            for c in offspring:
+                face = stack.pop()
+                if c:
+                    v1, v2, v3 = face
+                    corners += face
+                    stack += ((v1, v2, x), (v1, x, v3), (x, v2, v3))
+                    x += 1
+        else:
+            for c in offspring:
+                face = stack.pop()
+                if c:
+                    a, b, cc, d = face
+                    corners += (b, d)
+                    stack += ((b, x, d, cc), (b, x, d, a))
+                    x += 1
+    except IndexError:
+        raise ValueError("offspring sequence runs past the end of the tree") from None
+    if stack:
+        raise ValueError("offspring sequence is incomplete")
+    return corners
+
+
+def csr_from_offspring(offspring, family: str) -> tuple[np.ndarray, np.ndarray]:
+    """CSR adjacency (indptr, indices) of the map of the tree given as a
+    preorder offspring sequence.  Vertex ids: boundary first, then internal
+    nodes in preorder.
+
+    This is the one map builder: ``adjacency_from_offspring`` (and through
+    it ``StackMap``) reads its rows, and Monte-Carlo code runs BFS on it
+    straight from sampled offspring arrays.
+    """
+    nb, k = _N_BOUNDARY[family], _ARITY[family]
+    flat = _birth_corners(offspring, family)
+    corners = np.fromiter(flat, dtype=np.int64, count=len(flat))
+    n = nb + len(corners) // k
+    # row v is its head (a boundary vertex's two ring neighbours, an internal
+    # vertex's birth corners), then its tail: the later vertices born with v
+    # as a corner, in increasing order
+    head = np.full(n, k, dtype=np.int64)
+    head[:nb] = 2
+    tail = np.bincount(corners, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(head + tail, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    indices[indptr[:nb, None] + np.arange(2)] = _RING_ROWS[family]
+    indices[indptr[nb:n, None] + np.arange(k)] = corners.reshape(-1, k)
+    # a stable sort by corner keeps each corner's vertices in birth order;
+    # the j-th pair in that order lands at tail_start[corner] + j
+    order = np.argsort(corners, kind="stable")
+    tail_start = indptr[:-1] + head - (np.cumsum(tail) - tail)
+    indices[tail_start[corners[order]] + np.arange(len(corners))] = order // k + nb
+    return indptr, indices
 
 
 def adjacency_from_offspring(offspring, family: str) -> list[list[int]]:
     """Adjacency lists of the map of the tree given as a preorder offspring
-    sequence.  Vertex ids: boundary first, then internal nodes in preorder.
-
-    This is the one map builder: ``StackMap`` calls it, and Monte-Carlo
-    code calls it on sampled offspring arrays without building a tree.
-    The corner updates inline ``_SPLIT`` for speed.
-    """
-    nb = _N_BOUNDARY[family]
-    adj: list[list[int]] = [[] for _ in range(nb)]
-    for i in range(nb):
-        adj[i].append((i + 1) % nb)
-        adj[(i + 1) % nb].append(i)
-    if family == TRIANGULATION:
-        stack = [(0, 1, 2)]
-        for c in offspring:
-            face = stack.pop()
-            if not c:
-                continue
-            x = len(adj)
-            adj.append(list(face))
-            v1, v2, v3 = face
-            adj[v1].append(x)
-            adj[v2].append(x)
-            adj[v3].append(x)
-            stack.append((v1, v2, x))
-            stack.append((v1, x, v3))
-            stack.append((x, v2, v3))
-    else:
-        stack = [(1, 2, 3, 0)]
-        for c in offspring:
-            face = stack.pop()
-            if not c:
-                continue
-            x = len(adj)
-            a, b, cc, d = face
-            adj.append([b, d])
-            adj[b].append(x)
-            adj[d].append(x)
-            stack.append((b, x, d, cc))
-            stack.append((b, x, d, a))
-    if stack:
-        raise ValueError("offspring sequence is incomplete")
-    return adj
+    sequence: the rows of ``csr_from_offspring``, as Python lists."""
+    indptr, indices = csr_from_offspring(offspring, family)
+    flat, ends = indices.tolist(), indptr.tolist()
+    return [flat[a:b] for a, b in zip(ends, ends[1:])]
 
 
-def csgraph_from_adjacency(adj) -> csr_matrix:
-    rows, cols = [], []
-    for u, nbrs in enumerate(adj):
-        rows.extend([u] * len(nbrs))
-        cols.extend(nbrs)
+def csgraph_from_adjacency(adj) -> tuple[np.ndarray, np.ndarray]:
+    """CSR adjacency (indptr, indices) of adjacency lists, such as a
+    ``StackMap.adjacency``, including one edited by hand."""
     n = len(adj)
-    return csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, adj), dtype=np.int64, count=n), out=indptr[1:])
+    indices = np.fromiter(chain.from_iterable(adj), dtype=np.int64, count=int(indptr[-1]))
+    if indices.size and not 0 <= indices.min() <= indices.max() < n:
+        raise ValueError(f"adjacency lists a vertex id outside 0..{n - 1}")
+    return indptr, indices
 
 
-def bfs_distances_from(adj, source: int) -> np.ndarray:
-    d = shortest_path(csgraph_from_adjacency(adj), method="D", unweighted=True,
-                      indices=[source])
-    return d[0].astype(np.int64)
+def _bfs(graph, sources) -> np.ndarray:
+    """Distances from each source to every vertex, one row per source; -1
+    marks a vertex the source cannot reach.
+
+    All sources run together as one frontier BFS over (row, vertex) pairs,
+    held as flat keys row * n + vertex into the distance array.  Each level
+    is one numpy step: gather the CSR ranges of the frontier, drop visited
+    keys and dedupe the rest.  The dedupe needs no sort: every candidate
+    writes its position into its still-unvisited distance slot (as -2 - pos,
+    below the unvisited mark -1), and a key survives only at the position
+    whose write stuck.
+    """
+    indptr, indices = graph
+    n = len(indptr) - 1
+    sources = np.asarray(sources, dtype=np.int64).reshape(-1)
+    if sources.size and not 0 <= sources.min() <= sources.max() < n:
+        raise ValueError(f"source ids must be vertex ids in 0..{n - 1}")
+    dist = np.full(sources.size * n, -1, dtype=np.int64)
+    frontier = np.arange(sources.size, dtype=np.int64) * n + sources
+    dist[frontier] = 0
+    level = 0
+    while frontier.size:
+        level += 1
+        v = frontier % n
+        start = indptr[v]
+        count = indptr[v + 1] - start
+        ends = np.cumsum(count)
+        shift = np.repeat(start - (ends - count), count)
+        keys = np.repeat(frontier - v, count) + indices[np.arange(ends[-1]) + shift]
+        keys = keys[dist[keys] == -1]
+        tags = -2 - np.arange(keys.size, dtype=np.int64)
+        dist[keys] = tags
+        frontier = keys[dist[keys] == tags]
+        dist[frontier] = level
+    return dist.reshape(sources.size, n)
+
+
+def bfs_distances_from(graph, source: int) -> np.ndarray:
+    """BFS distances from one source on a CSR pair (indptr, indices), as
+    ``csr_from_offspring`` or ``csgraph_from_adjacency`` give it."""
+    return _bfs(graph, [source])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +470,9 @@ def bfs_distances_from(adj, source: int) -> np.ndarray:
 
 def distance_matrix(m: StackMap, sources=None) -> np.ndarray:
     """BFS distances from the given source ids (default: all) to every
-    vertex, as an integer matrix."""
-    d = shortest_path(csgraph_from_adjacency(m.adjacency), method="D", unweighted=True,
-                      indices=sources)
-    return d.astype(np.int64)
+    vertex, as an integer matrix with one row per source."""
+    graph = csgraph_from_adjacency(m.adjacency)
+    return _bfs(graph, range(m.n_vertices) if sources is None else sources)
 
 
 def bfs_distance(m: StackMap, u: int, v: int) -> int:

@@ -15,7 +15,6 @@ from fractions import Fraction
 from math import comb, log
 
 import numpy as np
-from scipy import stats as sps
 
 from . import maps as maps_mod
 from . import trees as trees_mod
@@ -247,6 +246,10 @@ class EmpiricalPMF:
             exp.append(acc_e)
         if len(obs) < 2:
             return math.nan
+        # imported here: scipy.stats costs about a second at start-up, and
+        # only the chi-square experiments need it
+        from scipy import stats as sps
+
         stat, p = sps.chisquare(obs, exp)
         return float(p)
 
@@ -359,10 +362,10 @@ def _exp_typical_distance(params, seed):
         for r in range(reps):
             rng = rng_from_seed(seed, si * 10**6 + r)
             off = trees_mod.sample_increasing_tree(3, n, rng).offspring()
-            adj = maps_mod.adjacency_from_offspring(off, maps_mod.TRIANGULATION)
+            graph = maps_mod.csr_from_offspring(off, maps_mod.TRIANGULATION)
             nb = maps_mod._N_BOUNDARY[maps_mod.TRIANGULATION]
-            ids = rng.integers(nb, len(adj), size=2)
-            d = int(maps_mod.bfs_distances_from(adj, int(ids[0]))[int(ids[1])])
+            ids = rng.integers(nb, len(graph[0]) - 1, size=2)
+            d = int(maps_mod.bfs_distances_from(graph, int(ids[0]))[int(ids[1])])
             vals.append(d / ((6.0 / 11.0) * log(n)))
         ratios[str(n)], ses[str(n)] = _mean_se(vals)
     ordered = [ratios[str(n)] for n in sizes]
@@ -427,8 +430,8 @@ def _exp_radius_scaling(params, seed):
         for r in range(reps):
             rng = rng_from_seed(seed, si * 10**6 + r)
             off = trees_mod.sample_offspring_sequence(3, n, rng)
-            adj = maps_mod.adjacency_from_offspring(off, maps_mod.TRIANGULATION)
-            vals.append(int(maps_mod.bfs_distances_from(adj, 0).max()))
+            graph = maps_mod.csr_from_offspring(off, maps_mod.TRIANGULATION)
+            vals.append(int(maps_mod.bfs_distances_from(graph, 0).max()))
         means[str(n)], ses[str(n)] = _mean_se(vals)
     ratio = means[str(sizes[-1])] / means[str(sizes[0])]
     lo, hi = params.get("band", (1.8, 2.2))

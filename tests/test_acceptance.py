@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from stackmaps.counting import count_histories, count_trees, histories_total
@@ -19,8 +20,7 @@ from stackmaps.fragmentation import shape_pmf_momentdir, shape_pmf_q_exact
 from stackmaps.maps import (
     QUADRANGULATION,
     TRIANGULATION,
-    adjacency_from_offspring,
-    csgraph_from_adjacency,
+    csr_from_offspring,
     map_from_tree,
     tree_from_map,
 )
@@ -58,7 +58,10 @@ def report(cid: str, ok: bool, detail: str) -> None:
 
 
 def _bfs_rows(offspring, family, sources):
-    g = csgraph_from_adjacency(adjacency_from_offspring(offspring, family))
+    # scipy stays an independent oracle: its Dijkstra runs on the map's CSR
+    indptr, indices = csr_from_offspring(offspring, family)
+    n = len(indptr) - 1
+    g = csr_matrix((np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(n, n))
     return shortest_path(g, method="D", unweighted=True, indices=sources).astype(int)
 
 

@@ -1,11 +1,13 @@
 """Command-line interface: exit codes, determinism, output formats."""
 
+import functools
 import json
 import subprocess
 import sys
 
 import pytest
 
+from stackmaps import localtopo
 from stackmaps.cli import main
 
 CLI = [sys.executable, "-m", "stackmaps.cli"]
@@ -128,6 +130,43 @@ def test_stats_rejects_bad_sizes(args, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["sample", "--size", "-1"], "size"),
+    (["sample", "--size", "100001"], "size"),
+    (["draw", "--size", "-1"], "size"),
+    (["frag", "--k", "0"], "k"),
+    (["frag", "--k", "100001"], "k"),
+    (["ball", "--r", "0"], "r"),
+    (["ball", "--r", "31"], "r"),
+    (["stats", "--experiment", "tri-depth", "--n", "1000001"], "n"),
+    (["stats", "--experiment", "gamma-rate", "--reps", "1000001"], "reps"),
+])
+def test_flags_out_of_range_exit_1(args, flag, capsys):
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: --{flag} must be in [")
+    assert err.rstrip().endswith(f"got {args[-1]}")
+
+
+def test_ball_over_node_cap_exits_1(monkeypatch, capsys):
+    # a zero node budget makes the first graft inside the ball raise CapExceeded
+    monkeypatch.setattr(localtopo, "sample_spine_tree",
+                        functools.partial(localtopo.sample_spine_tree, cap=0))
+    assert main(["ball", "--r", "5", "--seed", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: spine graft exceeded node cap\n"
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, stackmaps.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
 
 
 def test_frag_and_ball():

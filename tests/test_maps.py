@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from stackmaps.maps import (
     QUADRANGULATION,
@@ -14,6 +16,8 @@ from stackmaps.maps import (
     bfs_distance,
     bfs_distances_from,
     canonical_drawing,
+    csgraph_from_adjacency,
+    csr_from_offspring,
     degree_via_tree,
     degree_via_tree_literal_quad,
     distance_matrix,
@@ -30,6 +34,7 @@ from stackmaps.trees import (
     enumerate_trees,
     rng_from_seed,
     sample_increasing_tree,
+    sample_offspring_sequence,
     sample_uniform_tree,
 )
 
@@ -164,19 +169,24 @@ def test_tree_from_map_rejects_non_stack():
         tree_from_map(_non_stack_triangulation())
 
 
+def _add_edge(m: StackMap, u: int, v: int) -> None:
+    m.adjacency[u].append(v)
+    m.adjacency[v].append(u)
+
+
 def _add_pendant_vertex(m: StackMap) -> None:
     x = m.n_vertices
     m.adjacency.append([])
-    m._add_edge(x, 0)
-    m._add_edge(x, 1)
+    _add_edge(m, x, 0)
+    _add_edge(m, x, 1)
 
 
 @pytest.mark.parametrize(
     "family, spoil, match",
     [
-        (QUADRANGULATION, lambda m: m._add_edge(0, 2), "boundary vertex 0"),
-        (TRIANGULATION, lambda m: m._add_edge(3, 0), "repeated edge"),
-        (TRIANGULATION, lambda m: m._add_edge(0, 0), "loop"),
+        (QUADRANGULATION, lambda m: _add_edge(m, 0, 2), "boundary vertex 0"),
+        (TRIANGULATION, lambda m: _add_edge(m, 3, 0), "repeated edge"),
+        (TRIANGULATION, lambda m: _add_edge(m, 0, 0), "loop"),
         (TRIANGULATION, _add_pendant_vertex, "cannot be peeled"),
         (TRIANGULATION, lambda m: m.adjacency[0].append(4), "listed at 0 only"),
     ],
@@ -271,9 +281,106 @@ def test_fast_adjacency_matches_map():
         m = map_from_tree(t, family)
         adj = adjacency_from_offspring(t.offspring, family)
         assert [sorted(a) for a in adj] == [sorted(a) for a in m.adjacency]
-        d_fast = bfs_distances_from(adj, 0)
+        d_fast = bfs_distances_from(csr_from_offspring(t.offspring, family), 0)
         d_ref = distance_matrix(m, sources=[0])[0]
         assert (d_fast == d_ref).all()
+
+
+def _reference_adjacency(offspring, family):
+    """Per-step list builder: each inserted vertex appends its birth
+    corners to its own list and itself to each corner's list."""
+    nb = 3 if family == TRIANGULATION else 4
+    adj = [[] for _ in range(nb)]
+    for i in range(nb):
+        adj[i].append((i + 1) % nb)
+        adj[(i + 1) % nb].append(i)
+    stack = [(0, 1, 2)] if family == TRIANGULATION else [(1, 2, 3, 0)]
+    for c in offspring:
+        face = stack.pop()
+        if not c:
+            continue
+        x = len(adj)
+        if family == TRIANGULATION:
+            v1, v2, v3 = face
+            adj.append([v1, v2, v3])
+            for v in face:
+                adj[v].append(x)
+            stack += [(v1, v2, x), (v1, x, v3), (x, v2, v3)]
+        else:
+            a, b, cc, d = face
+            adj.append([b, d])
+            adj[b].append(x)
+            adj[d].append(x)
+            stack += [(b, x, d, cc), (b, x, d, a)]
+    assert not stack
+    return adj
+
+
+def _scipy_rows(graph, sources):
+    indptr, indices = graph
+    n = len(indptr) - 1
+    g = csr_matrix((np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(n, n))
+    return shortest_path(g, method="D", unweighted=True, indices=sources).astype(np.int64)
+
+
+def _oracle_cases():
+    rng = rng_from_seed(21)
+    for family, arity in ((TRIANGULATION, 3), (QUADRANGULATION, 2)):
+        for law in ("uniform", "growth"):
+            sizes = [0, 1, 2] + [int(s) for s in rng.integers(3, 3001, size=3)]
+            for n in sizes:
+                if law == "uniform" or n == 0:
+                    off = sample_offspring_sequence(arity, n, rng)
+                else:
+                    off = sample_increasing_tree(arity, n, rng).offspring()
+                yield family, OrderedTree(arity, off)
+        yield family, OrderedTree.from_internal_words(arity, [(1,) * k for k in range(2000)])
+
+
+def test_csr_bfs_matches_scipy_and_reference_lists():
+    rng = rng_from_seed(22)
+    for family, t in _oracle_cases():
+        graph = csr_from_offspring(t.offspring, family)
+        n = len(graph[0]) - 1
+        adj = adjacency_from_offspring(t.offspring, family)
+        assert adj == _reference_adjacency(t.offspring, family)
+        for s in (0, int(rng.integers(n))):
+            assert (bfs_distances_from(graph, s) == _scipy_rows(graph, [s])[0]).all()
+        m = map_from_tree(t, family)
+        several = [int(v) for v in rng.integers(n, size=4)]
+        for sources in ([n - 1], several) + ((None,) if n <= 300 else ()):
+            want = _scipy_rows(graph, sources)
+            assert (distance_matrix(m, sources) == want).all()
+
+
+@pytest.mark.parametrize("family, offspring, match", [
+    (TRIANGULATION, [3, 0, 0], "incomplete"),
+    (TRIANGULATION, [0, 0], "past the end"),
+    (QUADRANGULATION, [2, 0, 0, 0], "past the end"),
+])
+def test_csr_rejects_malformed_offspring(family, offspring, match):
+    with pytest.raises(ValueError, match=match):
+        csr_from_offspring(offspring, family)
+
+
+def test_csgraph_from_adjacency_reads_hand_edits():
+    m = map_from_tree(OrderedTree(3, [3, 0, 0, 0]), TRIANGULATION)
+    _add_pendant_vertex(m)
+    indptr, indices = csgraph_from_adjacency(m.adjacency)
+    assert indptr.tolist() == [0, 4, 8, 11, 14, 16]
+    assert indices[indptr[4]:].tolist() == [0, 1]
+    assert distance_matrix(m, [4])[0].tolist() == [1, 1, 2, 2, 0]
+    m.adjacency[4].append(7)
+    with pytest.raises(ValueError, match="outside"):
+        csgraph_from_adjacency(m.adjacency)
+
+
+def test_bfs_marks_unreachable_and_rejects_bad_sources():
+    m = theta(TRIANGULATION)
+    m.adjacency.append([])
+    assert distance_matrix(m, [3, 0]).tolist() == [[-1, -1, -1, 0], [0, 1, 1, -1]]
+    with pytest.raises(ValueError, match="source"):
+        distance_matrix(m, [4])
 
 
 def test_distance_matrix_symmetric():
