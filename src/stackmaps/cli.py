@@ -76,14 +76,15 @@ def _sample_tree(family: str, law: str, size: int, seed: int) -> trees.OrderedTr
     return trees.sample_increasing_tree(arity, size, rng).shape()
 
 
-def cmd_sample(args) -> int:
-    t = _sample_tree(args.family, args.law, args.size, _seed(args))
-    m = maps.map_from_tree(t, FAMILIES[args.family])
-    if args.format == "svg":
-        _emit(maps.to_svg(m), args.out)
-    else:
-        _emit(m.to_json(), args.out)
+def _emit_map(m: maps.StackMap, args) -> int:
+    _emit(maps.to_svg(m) if args.format == "svg" else m.to_json(), args.out)
     return 0
+
+
+def cmd_sample(args) -> int:
+    """`sample`, and `draw`, which is `sample --format svg`."""
+    t = _sample_tree(args.family, args.law, args.size, _seed(args))
+    return _emit_map(maps.map_from_tree(t, FAMILIES[args.family]), args)
 
 
 def cmd_enumerate(args) -> int:
@@ -128,13 +129,6 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def cmd_draw(args) -> int:
-    t = _sample_tree(args.family, args.law, args.size, _seed(args))
-    m = maps.map_from_tree(t, FAMILIES[args.family])
-    _emit(maps.to_svg(m), args.out)
-    return 0
-
-
 def cmd_frag(args) -> int:
     _check_range("k", args.k, FRAG_K_RANGE)
     rng = trees.rng_from_seed(_seed(args))
@@ -146,13 +140,8 @@ def cmd_frag(args) -> int:
 def cmd_ball(args) -> int:
     _check_range("r", args.r, BALL_R_RANGE)
     rng = trees.rng_from_seed(_seed(args))
-    t = localtopo.sample_spine_tree(ARITY[args.family], args.r, rng)
-    m = localtopo.infinite_map_ball(t, args.r)
-    if args.format == "svg":
-        _emit(maps.to_svg(m), args.out)
-    else:
-        _emit(m.to_json(), args.out)
-    return 0
+    t, _ = localtopo.sample_spine_tree(ARITY[args.family], args.r, rng)
+    return _emit_map(localtopo.infinite_map_ball(t, args.r), args)
 
 
 def cmd_passage(args) -> int:
@@ -238,7 +227,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("draw", help="SVG drawing of a sampled map")
     common(sp)
     sp.add_argument("--size", type=int, required=True)
-    sp.set_defaults(fn=cmd_draw)
+    sp.set_defaults(fn=cmd_sample, format="svg")
 
     sp = sub.add_parser("frag", help="sample a fragmentation tree")
     common(sp, law=False)

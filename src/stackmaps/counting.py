@@ -8,7 +8,7 @@ numbers grow past 64 bits almost immediately.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 
 def count_trees(arity: int, n_internal: int) -> int:
@@ -69,22 +69,15 @@ def count_histories(tree) -> int:
     An insertion order is a linear extension of the internal-node poset, so
     the hook-length formula for forests applies.
     """
-    internal = set(tree.internal_words())
-    K = len(internal)
-    if K == 0:
-        return 1
-    sizes = {w: 1 for w in internal}
-    for w in sorted(internal, key=len, reverse=True):
-        if w:
-            sizes[w[:-1]] += sizes[w]
-    num = 1
-    for j in range(2, K):
-        num *= j  # (K-1)!; the root's hook K cancels against K!
+    # size[i]: internal nodes in the subtree of node i, summed children first
+    size = [1 if c else 0 for c in tree.offspring]
+    for i in range(len(tree) - 1, 0, -1):
+        size[tree.parent[i]] += size[i]
     den = 1
-    for w in internal:
-        if w:
-            den *= sizes[w]
-    return num // den
+    for i in range(1, len(tree)):
+        den *= size[i] or 1
+    # (K-1)!, since the root's hook K cancels against K!
+    return factorial(size[0] - 1) // den if size[0] else 1
 
 
 def q_walk_exact(m: int, k: int) -> Fraction:

@@ -22,7 +22,7 @@ from itertools import chain
 
 import numpy as np
 
-from .trees import OrderedTree, Word, _subtree_end
+from .trees import IncreasingTree, OrderedTree, Word, _subtree_end
 
 TRIANGULATION = "triangulation"
 QUADRANGULATION = "quadrangulation"
@@ -46,10 +46,11 @@ def _split_quad(f, x):
 
 
 # subdivision rule of each family: the child faces, in letter order, of face
-# f when vertex x is inserted in it, and the corners of f that x is joined to
+# f when vertex x is inserted in it, the corners of f that x is joined to, and
+# which children reverse f's orientation (both root faces run counterclockwise)
 _SPLIT = {
-    TRIANGULATION: (_split_tri, slice(0, 3)),
-    QUADRANGULATION: (_split_quad, slice(1, 4, 2)),
+    TRIANGULATION: (_split_tri, slice(0, 3), (False, False, False)),
+    QUADRANGULATION: (_split_quad, slice(1, 4, 2), (False, True)),
 }
 
 
@@ -266,31 +267,20 @@ def tree_from_map(m: StackMap) -> OrderedTree:
                 f"boundary vertex {b} keeps neighbours {live} after peeling, "
                 "not just its two boundary neighbours"
             )
-    # replay: first[node] is the first of the k consecutive child ids of a
-    # subdivided face node, -1 for a leaf
-    split, attach = _SPLIT[m.family]
-    faces = [_ROOT_FACE[m.family]]
-    first = [-1]
-    open_faces = {tuple(sorted(faces[0][attach])): 0}
+    # replay: the j-th replayed vertex is internal node j of the face tree,
+    # in the slot (k * parent + letter - 1) of the live face it lands in
+    split, attach, _ = _SPLIT[m.family]
+    root = _ROOT_FACE[m.family]
+    open_faces = {tuple(sorted(root[attach])): (root, -1)}  # -> (corners, slot)
+    slot: list[int] = []
     for x in reversed(order):
-        node = open_faces.pop(birth[x], None)
-        if node is None:
+        face, s = open_faces.pop(birth[x], (None, 0))
+        if face is None:
             raise NotStackMapError(f"the neighbours {birth[x]} of vertex {x} bound no face")
-        first[node] = len(first)
-        for child in split(faces[node], x):
-            open_faces[tuple(sorted(child[attach]))] = len(first)
-            first.append(-1)
-            faces.append(child)
-    offspring = []
-    stack = [0]
-    while stack:
-        c = first[stack.pop()]
-        if c < 0:
-            offspring.append(0)
-        else:
-            offspring.append(k)
-            stack.extend(range(c + k - 1, c - 1, -1))
-    return OrderedTree(k, offspring)
+        for letter, child in enumerate(split(face, x)):
+            open_faces[tuple(sorted(child[attach]))] = (child, k * len(slot) + letter)
+        slot.append(s)
+    return IncreasingTree(k, slot).shape()
 
 
 def _check_simple(adj) -> None:
@@ -590,7 +580,42 @@ def _count_accepted(offspring, i: int, arity: int, step) -> int:
 
 
 # ---------------------------------------------------------------------------
-# canonical drawing
+# the face walk: rotation system and canonical drawing
+
+
+def _face_walk(m: StackMap):
+    """Yield (x, face, ccw) for every internal vertex x in preorder: the
+    corners of its birth face and whether they run counterclockwise."""
+    split, _, flips = _SPLIT[m.family]
+    stack = [(_ROOT_FACE[m.family], True)]  # faces still to visit
+    x = m.n_boundary
+    for c in m.tree.offspring:
+        face, ccw = stack.pop()
+        if c:
+            yield x, face, ccw
+            stack.extend(reversed([(f, ccw != flip) for f, flip in zip(split(face, x), flips)]))
+            x += 1
+
+
+def rotation_system(m: StackMap) -> list[dict[int, int]]:
+    """Rotation system of m: ``rot[v][u]`` is the neighbour after u in the
+    counterclockwise order around v.  It comes from the subdivisions alone:
+    inserting x in a face puts x, at each joined corner v, between v's two
+    neighbours on the face (in the face's orientation), and x's own order
+    is its joined corners in face order."""
+    nb = m.n_boundary
+    rot = [{(b - 1) % nb: (b + 1) % nb, (b + 1) % nb: (b - 1) % nb} for b in range(nb)]
+    attach = _SPLIT[m.family][1]
+    for x, face, ccw in _face_walk(m):
+        if not ccw:  # the same corners counterclockwise, the joined ones in place
+            face = face[:1] + face[:0:-1]
+        k = len(face)
+        for i in range(k)[attach]:
+            s, p = rot[face[i]], face[(i + 1) % k]
+            s[x], s[p] = s[p], x
+        joined = face[attach]
+        rot.append(dict(zip(joined, joined[1:] + joined[:1])))
+    return rot
 
 
 TRI_CORNERS = {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (0.5, np.sqrt(3.0) / 2.0)}
@@ -598,23 +623,13 @@ QUAD_CORNERS = {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (1.0, 1.0), 3: (0.0, 1.0)}
 
 
 def canonical_drawing(m: StackMap) -> dict[int, tuple[float, float]]:
-    """Vertex coordinates: fixed boundary (unit triangle or unit square),
-    every internal vertex at the centroid of its birth face.  Depends only
-    on the map, not on the insertion history."""
+    """Vertex coordinates for SVG: fixed boundary (unit triangle or unit
+    square), every internal vertex at the centroid of its birth face.
+    Floats collapse deep nests (the triangulation path 1^60 puts 63
+    vertices at 37 points); combinatorial code reads ``rotation_system``."""
     pos = dict(TRI_CORNERS if m.family == TRIANGULATION else QUAD_CORNERS)
-    split = _SPLIT[m.family][0]
-    stack = [_ROOT_FACE[m.family]]  # corners of the faces still to visit
-    x = m.n_boundary
-    for c in m.tree.offspring:
-        corners = stack.pop()
-        if not c:
-            continue
-        pos[x] = (
-            sum(pos[v][0] for v in corners) / len(corners),
-            sum(pos[v][1] for v in corners) / len(corners),
-        )
-        stack.extend(reversed(split(corners, x)))
-        x += 1
+    for x, face, _ in _face_walk(m):
+        pos[x] = tuple(sum(c) / len(face) for c in zip(*(pos[v] for v in face)))
     return pos
 
 
@@ -631,12 +646,10 @@ def to_svg(m: StackMap, size: int = 600) -> str:
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {size} {size}">',
     ]
-    seen = set()
     for u, nbrs in enumerate(m.adjacency):
         for v in nbrs:
-            if (v, u) in seen:
-                continue
-            seen.add((u, v))
+            if v < u:
+                continue  # drawn from v's row
             (x1, y1), (x2, y2) = xy(u), xy(v)
             root = {u, v} == set(m.root_edge)
             stroke = "#d62728" if root else "#333"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, log
@@ -19,7 +20,6 @@ import numpy as np
 from . import maps as maps_mod
 from . import trees as trees_mod
 from .counting import count_forests, count_trees
-from .maps import StackMap, distance_matrix
 from .passage import gamma, gamma_prime_literal, quad_root_distance
 from .trees import OrderedTree, rng_from_seed
 
@@ -30,15 +30,6 @@ GAMMA_RATE_TRI = 2.0 / 11.0
 #: reference
 GAMMA_RATE_QUAD_DERIVED = 1.0 / 5.0
 GAMMA_RATE_QUAD_CLAIMED = 1.0 / 3.0
-
-
-# ---------------------------------------------------------------------------
-# map observables
-
-
-def radius(m: StackMap) -> int:
-    """Largest distance from the root vertex."""
-    return int(distance_matrix(m, sources=[0])[0].max())
 
 
 # ---------------------------------------------------------------------------
@@ -89,10 +80,6 @@ def pmf_finite_deg_first_exact(n: int, k: int) -> Fraction:
         return Fraction(0)
     num = count_forests(2, 3, 2 * k + 3) * count_forests(3, k, 3 * n - 2 * k - 6)
     return Fraction(num, count_trees(3, n - 1))
-
-
-def pmf_finite_deg_first(n: int, k: int) -> float:
-    return float(pmf_finite_deg_first_exact(n, k))
 
 
 def pmf_subtree_size(k: int) -> float:
@@ -202,11 +189,7 @@ class EmpiricalPMF:
 
     @classmethod
     def from_samples(cls, xs) -> "EmpiricalPMF":
-        c: dict[int, int] = {}
-        for x in xs:
-            x = int(x)
-            c[x] = c.get(x, 0) + 1
-        return cls(c)
+        return cls(dict(Counter(map(int, xs))))
 
     @property
     def n(self) -> int:
@@ -246,12 +229,15 @@ class EmpiricalPMF:
             exp.append(acc_e)
         if len(obs) < 2:
             return math.nan
-        # imported here: scipy.stats costs about a second at start-up, and
-        # only the chi-square experiments need it
-        from scipy import stats as sps
+        # Pearson's statistic and scipy.stats.chisquare's p-value, without
+        # importing scipy.stats (about a second); scipy.special is imported
+        # here, since only the chi-square experiments need it
+        from scipy.special import chdtrc
 
-        stat, p = sps.chisquare(obs, exp)
-        return float(p)
+        o, e = np.array(obs), np.array(exp)
+        if abs(o.sum() - e.sum()) / min(o.sum(), e.sum()) > np.finfo(float).eps ** 0.5:
+            raise ValueError(f"observed total {o.sum()} and expected total {e.sum()} disagree")
+        return float(chdtrc(len(o) - 1, np.sum((o - e) ** 2 / e)))
 
 
 # ---------------------------------------------------------------------------

@@ -125,13 +125,6 @@ class OrderedTree:
         """Index one past the last node of the subtree rooted at i."""
         return self._end[i]
 
-    def depth(self, i: int) -> int:
-        d = 0
-        while i > 0:
-            i = self.parent[i]
-            d += 1
-        return d
-
     def word(self, i: int) -> Word:
         rev = []
         while i > 0:
@@ -263,13 +256,14 @@ class IncreasingTree:
         return {w: k + 1 for k, w in enumerate(self.skeleton)}
 
     def offspring(self) -> list[int]:
-        """Preorder offspring sequence of the shape, in O(n)."""
+        """Preorder offspring sequence of the shape, in O(n); a single leaf
+        when there is no internal node."""
         a = self.arity
         child = [-1] * (a * len(self.slot))  # node in each slot, -1 for a leaf
         for k in range(1, len(self.slot)):
             child[self.slot[k]] = k
         out: list[int] = []
-        stack = [0]
+        stack = [0 if self.slot else -1]
         while stack:
             v = stack.pop()
             if v < 0:

@@ -255,6 +255,37 @@ def check_drawing_planar(level, mx):
     return True, f"n={n} both families"
 
 
+def rotation_defect(m, rot) -> str:
+    """Empty if ``rot`` (as from ``maps.rotation_system``) is planar, V - E
+    + F = 2, with every face the root face's size; else what fails.  The
+    face of the dart u -> v goes on to (v, rot[v][u])."""
+    if [sorted(s) for s in rot] != [sorted(nbrs) for nbrs in m.adjacency]:
+        return "the rotations do not list the neighbours"
+    nxt = {(u, v): (v, w) for v, s in enumerate(rot) for u, w in s.items()}
+    sizes = []
+    while nxt:
+        dart, size = next(iter(nxt)), 0
+        while dart in nxt:
+            dart, size = nxt.pop(dart), size + 1
+        sizes.append(size)
+    chi = m.n_vertices - m.n_edges + len(sizes)
+    if chi != 2:
+        return f"V - E + F = {chi}"
+    return next((f"a face of size {k}" for k in sizes if k != m.n_boundary), "")
+
+
+def check_rotation_planar(level, mx):
+    rng = trees.rng_from_seed(9)
+    n, k = (60, 200) if level == "quick" else (200, 2000)
+    for fam, a in ((maps.TRIANGULATION, 3), (maps.QUADRANGULATION, 2)):
+        path = trees.OrderedTree(a, [a] * k + [0] * ((a - 1) * k + 1))  # internal: 1^j, j < k
+        for t in (trees.sample_uniform_tree(a, n, rng), path):
+            m = maps.map_from_tree(t, fam)
+            if bad := rotation_defect(m, maps.rotation_system(m)):
+                return False, f"{fam} {len(t)} nodes: {bad}"
+    return True, f"n={n} and the path 1^{k}, both families"
+
+
 def _segments_cross(p, q, r, s) -> bool:
     def orient(a, b, c):
         v = float((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
@@ -278,6 +309,7 @@ CHECKS = [
     ("maps.degrees", check_degrees),
     ("maps.mean-degree", check_mean_degree),
     ("maps.drawing-planar", check_drawing_planar),
+    ("maps.rotation-planar", check_rotation_planar),
     ("counting.histories", check_histories),
     ("counting.forest-consistency", check_forest_consistency),
     ("stats.pmf-sums", check_pmf_sums),

@@ -169,6 +169,18 @@ def test_cli_import_loads_no_scipy():
     assert r.stdout.strip() == "[]"
 
 
+def test_chisquare_experiment_loads_no_scipy_stats():
+    # the p-value comes from scipy.special alone
+    code = ("import sys; from stackmaps.cli import main; "
+            "main(['stats', '--experiment', 'degree-uniform', '--n', '200', '--reps', '40']); "
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.special'))))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    report, modules = r.stdout.splitlines()
+    assert json.loads(report)["estimates"]["chi2_pvalue"] > 0
+    assert "scipy.special" in modules and "scipy.stats" not in modules
+
+
 def test_frag_and_ball():
     r = run_cli(["frag", "--arity", "3", "--k", "5", "--seed", "1"])
     assert r.returncode == 0

@@ -1,5 +1,7 @@
 """Local-topology distance, passage balls, and the spine sampler."""
 
+import sys
+
 import pytest
 
 from stackmaps.localtopo import (
@@ -9,10 +11,11 @@ from stackmaps.localtopo import (
     map_ball_code,
     sample_spine_tree,
 )
-from stackmaps.maps import QUADRANGULATION, TRIANGULATION, map_from_tree
+from stackmaps.maps import QUADRANGULATION, TRIANGULATION, map_from_tree, rotation_system
 from stackmaps.passage import quad_type, tri_root_distance, tri_type
 from stackmaps.stats import EmpiricalPMF
 from stackmaps.trees import OrderedTree, rng_from_seed, sample_uniform_tree
+from stackmaps.verify import rotation_defect
 
 
 def full_tree(arity: int, depth: int) -> OrderedTree:
@@ -49,6 +52,16 @@ def test_local_distance_symmetry_and_kind_check():
         local_distance(a, m)
 
 
+def test_local_distance_rejects_mixed_arities():
+    # two single leaves of different arity used to compare equal at every
+    # radius, so the search for a differing ball never ended
+    with pytest.raises(TypeError, match="different arities"):
+        local_distance(OrderedTree.single_leaf(3), OrderedTree.single_leaf(2))
+    quad = map_from_tree(OrderedTree.single_leaf(2), QUADRANGULATION)
+    with pytest.raises(TypeError, match="different families"):
+        local_distance(map_from_tree(OrderedTree.single_leaf(3), TRIANGULATION), quad)
+
+
 def test_local_distance_ultrametric_fixtures():
     ts = [
         OrderedTree.from_internal_words(3, s)
@@ -66,6 +79,25 @@ def test_map_ball_code_distinguishes_and_matches():
     m1, m2 = (map_from_tree(t, TRIANGULATION) for t in (t1, t2))
     assert map_ball_code(m1, 1) == map_ball_code(m2, 1)
     assert map_ball_code(m1, 2) != map_ball_code(m2, 2)
+
+
+def test_map_ball_code_nested_path():
+    # 1^60: vertex 3 sits in the root face and each later vertex v in the
+    # face (v-1, 1, 2), so every vertex is within distance 2 of the root.
+    # Labels follow the BFS: 1, 3, 2 get 1, 2, 3 and vertices 62, ..., 4 get
+    # 4, ..., 62 as they are met around vertex 1.
+    m = map_from_tree(OrderedTree(3, [3] * 60 + [0] * 121), TRIANGULATION)
+    want = (
+        (1, 2, 3),
+        (0, 3, *range(4, 63), 2),
+        (0, 1, 62, 3),
+        (0, 2, *range(62, 3, -1), 1),
+        (1, 3, 5),
+        *[(1, label - 1, 3, label + 1) for label in range(5, 62)],
+        (1, 61, 3, 2),
+    )
+    assert map_ball_code(m, 2) == want
+    assert map_ball_code(m, 1) == ((1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1))
 
 
 def test_gamma_ball_fixtures():
@@ -101,7 +133,7 @@ def test_gamma_ball_quad():
 def test_spine_letters_uniform():
     emp = EmpiricalPMF()
     for rep in range(400):
-        _, spine = sample_spine_tree(3, 6, rng_from_seed(50, rep), return_spine=True)
+        _, spine = sample_spine_tree(3, 6, rng_from_seed(50, rep))
         for letter in spine[:5]:
             emp.add(letter - 1)
     p = emp.chisquare_pvalue(lambda k: 1 / 3 if k in (0, 1, 2) else 0.0)
@@ -112,7 +144,7 @@ def test_spine_length_mean():
     r = 8
     lengths = []
     for rep in range(400):
-        _, spine = sample_spine_tree(3, r, rng_from_seed(60, rep), return_spine=True)
+        _, spine = sample_spine_tree(3, r, rng_from_seed(60, rep))
         lengths.append(len(spine))
     mean = sum(lengths) / len(lengths)
     assert abs(mean - 11 * r / 2) / (11 * r / 2) < 0.15
@@ -124,7 +156,7 @@ def test_spine_ends_at_first_face_beyond_ball(arity, fold, r):
     # the spine stops at the first prefix whose face has every corner at
     # distance >= r, as passage's fold computes the corner distances
     for rep in range(40):
-        _, spine = sample_spine_tree(arity, r, rng_from_seed(65, rep), return_spine=True)
+        _, spine = sample_spine_tree(arity, r, rng_from_seed(65, rep))
         assert 1 + min(fold(spine)) > r
         assert all(1 + min(fold(spine[:k])) <= r for k in range(len(spine)))
 
@@ -149,22 +181,48 @@ class _DeepGraftRng:
 def test_graft_deeper_than_recursion_limit():
     # the graft at (2,) follows 1^k, whose faces all stay at root distance
     # 2, so it is a path of 3000 internal nodes
-    t, spine = sample_spine_tree(3, 2, _DeepGraftRng(), return_spine=True)
+    t, spine = sample_spine_tree(3, 2, _DeepGraftRng())
     assert spine == (1, 1, 2, 3)
     assert (2,) + (1,) * 2999 in set(t.internal_words())
 
 
+def test_deep_graft_ball_and_map_under_default_recursion_limit():
+    t, _ = sample_spine_tree(3, 2, _DeepGraftRng())
+    deepest = (2,) + (1,) * 2999
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        ball = gamma_ball(t, 2)
+        m = infinite_map_ball(t, 2)
+    finally:
+        sys.setrecursionlimit(limit)
+    # the path's faces stay at root distance 2, so the whole path is in the
+    # ball and, being internal, in the map
+    assert {(2,) + (1,) * k for k in range(3000)} <= ball
+    assert all(tri_root_distance(w) <= 2 for w in ball if len(w) < 6)
+    assert m.word_of(m.vertex_of(deepest)) == deepest
+
+
+@pytest.mark.parametrize("arity", [3, 2], ids=["tri", "quad"])
+def test_infinite_map_ball_rotation_planar(arity):
+    for seed in range(3):
+        t, _ = sample_spine_tree(arity, 20, rng_from_seed(85, seed))
+        for r in (10, 20):
+            m = infinite_map_ball(t, r)
+            assert rotation_defect(m, rotation_system(m)) == ""
+
+
 def test_spine_tree_ball_finite_and_deterministic():
     for rep in range(50):
-        t1 = sample_spine_tree(3, 4, rng_from_seed(70, rep))
-        t2 = sample_spine_tree(3, 4, rng_from_seed(70, rep))
-        assert t1 == t2
+        t1, s1 = sample_spine_tree(3, 4, rng_from_seed(70, rep))
+        t2, s2 = sample_spine_tree(3, 4, rng_from_seed(70, rep))
+        assert (t1, s1) == (t2, s2)
         ball = gamma_ball(t1, 4)
         assert len(ball) < 10**5
 
 
 def test_infinite_map_ball_nested():
-    t = sample_spine_tree(3, 5, rng_from_seed(80))
+    t, _ = sample_spine_tree(3, 5, rng_from_seed(80))
     prev = None
     for r in range(1, 5):
         m = infinite_map_ball(t, r)
@@ -196,7 +254,7 @@ def test_infinite_map_ball_exhausts_finite_tree():
 
 
 def test_spine_tree_quad_family():
-    t = sample_spine_tree(2, 4, rng_from_seed(90))
+    t, _ = sample_spine_tree(2, 4, rng_from_seed(90))
     m = infinite_map_ball(t, 4)
     assert m.family == QUADRANGULATION
     assert m.n_vertices > 4

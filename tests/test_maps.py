@@ -1,5 +1,6 @@
 """Stack-map construction, bijection with trees, distances and degrees."""
 
+import math
 import sys
 
 import numpy as np
@@ -24,6 +25,7 @@ from stackmaps.maps import (
     grow,
     map_from_history,
     map_from_tree,
+    rotation_system,
     theta,
     to_svg,
     tree_from_map,
@@ -37,6 +39,7 @@ from stackmaps.trees import (
     sample_offspring_sequence,
     sample_uniform_tree,
 )
+from stackmaps.verify import rotation_defect
 
 
 def test_theta_triangle():
@@ -409,6 +412,52 @@ def test_drawing_and_svg():
     svg = to_svg(m)
     assert svg.startswith("<svg")
     assert svg.count("<line") == m.n_edges
+
+
+def nested_path(arity: int, k: int) -> OrderedTree:
+    """The tree whose internal nodes are 1^j, j < k."""
+    return OrderedTree(arity, [arity] * k + [0] * ((arity - 1) * k + 1))
+
+
+def atan2_rotation(m: StackMap) -> list[dict[int, int]]:
+    """The rotation system read off the canonical drawing: each vertex's
+    neighbours in order of angle, as successor maps."""
+    pos = canonical_drawing(m)
+    rot = []
+    for v, nbrs in enumerate(m.adjacency):
+        row = sorted(nbrs, key=lambda w: math.atan2(pos[w][1] - pos[v][1], pos[w][0] - pos[v][0]))
+        rot.append(dict(zip(row, row[1:] + row[:1])))
+    return rot
+
+
+@pytest.mark.parametrize("family, arity", [(TRIANGULATION, 3), (QUADRANGULATION, 2)])
+def test_rotation_system_planar(family, arity):
+    # every face a triangle (quadrangle) and V - E + F = 2
+    rng = rng_from_seed(17)
+    ts = [t for n in (0, 1, 2) for t in enumerate_trees(arity, n)]
+    ts += [sample_uniform_tree(arity, int(n), rng) for n in rng.integers(1, 3001, size=3)]
+    ts.append(nested_path(arity, 2000))
+    for t in ts:
+        m = map_from_tree(t, family)
+        assert rotation_defect(m, rotation_system(m)) == "", len(t)
+
+
+def test_rotation_check_rejects_collapsed_drawing():
+    # the float drawing of the nested path 1^60 puts 63 vertices at 37 points,
+    # and sorting neighbours by angle there gives no planar rotation system
+    m = map_from_tree(nested_path(3, 60), TRIANGULATION)
+    assert len(set(canonical_drawing(m).values())) == 37
+    assert rotation_defect(m, atan2_rotation(m)) == "V - E + F = -52"
+
+
+@pytest.mark.parametrize("family, arity", [(TRIANGULATION, 3), (QUADRANGULATION, 2)])
+def test_rotation_system_matches_drawing_angles(family, arity):
+    # where the drawing is sound, the combinatorial rotation is its
+    # counterclockwise cyclic order at every vertex
+    for seed in range(12):
+        n = (1, 5, 20, 50, 100)[seed % 5]
+        m = map_from_tree(sample_uniform_tree(arity, n, rng_from_seed(70, seed)), family)
+        assert rotation_system(m) == atan2_rotation(m)
 
 
 def test_growth_tree_map_consistency():

@@ -148,6 +148,35 @@ def test_empirical_pmf_chisquare_sane():
         EmpiricalPMF().chisquare_pvalue(lambda k: 0.5**(k + 1))
 
 
+# (counts, pmf, the bins chisquare_pvalue must form); dyadic probabilities
+# keep every expected count exact
+_CHI2_FIXTURES = [
+    ({0: 30, 1: 50, 2: 20}, lambda k: (0.25, 0.5, 0.25)[k] if k < 3 else 0.0,
+     [30, 50, 20], [25, 50, 25]),
+    ({0: 7, 1: 9, 2: 11, 3: 13}, lambda k: 0.25 if k < 4 else 0.0,
+     [7, 9, 11, 13], [10, 10, 10, 10]),
+    # k >= 4 merges until 5 expected; the tail past k = 6 joins the last bin
+    ({0: 52, 1: 23, 2: 14, 3: 6, 4: 3, 6: 2}, lambda k: 0.5**(k + 1),
+     [52, 23, 14, 6, 5], [50, 25, 12.5, 6.25, 6.25]),
+    ({0: 480, 1: 270, 2: 110, 3: 140}, lambda k: 0.5**(k + 1) if k < 3 else 0.125 * (k == 3),
+     [480, 270, 110, 140], [500, 250, 125, 125]),
+]
+
+
+@pytest.mark.parametrize("counts,pmf,obs,exp", _CHI2_FIXTURES,
+                         ids=["three-bins", "uniform", "merged-tail", "four-bins"])
+def test_chisquare_pvalue_equals_scipy_stats(counts, pmf, obs, exp):
+    from scipy import stats as sps
+
+    assert EmpiricalPMF(counts).chisquare_pvalue(pmf) == float(sps.chisquare(obs, exp).pvalue)
+
+
+def test_chisquare_rejects_pmf_with_wrong_total():
+    emp = EmpiricalPMF({0: 30, 1: 50, 2: 20})
+    with pytest.raises(ValueError, match="disagree"):
+        emp.chisquare_pvalue(lambda k: (0.3, 0.5, 0.3)[k] if k < 3 else 0.0)
+
+
 def test_experiment_report_serialization():
     rep = run_experiment("gamma-rate", {"n": 10**4, "reps": 3}, seed=5)
     d = json.loads(rep.to_json())
