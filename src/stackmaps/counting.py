@@ -71,8 +71,9 @@ def count_histories(tree) -> int:
     """
     # size[i]: internal nodes in the subtree of node i, summed children first
     size = [1 if c else 0 for c in tree.offspring]
+    parent = tree.parent
     for i in range(len(tree) - 1, 0, -1):
-        size[tree.parent[i]] += size[i]
+        size[parent[i]] += size[i]
     den = 1
     for i in range(1, len(tree)):
         den *= size[i] or 1

@@ -22,30 +22,61 @@ from .trees import CapExceeded, IncreasingTree, OrderedTree, Word
 def local_distance(a, b) -> float:
     """1/(1+k) where k is the largest radius at which the rooted balls of a
     and b coincide; 0 when the objects are equal.  Works on two trees or
-    two maps (mixing kinds is an error)."""
+    two maps (mixing kinds is an error).
+
+    Each object's depths (a map's distances and rotation system) are
+    computed once.  Ball equality is monotone in the radius, and the balls
+    differ once both objects are whole, so doubling and then bisection find
+    k with O(log k) ball codes."""
     if isinstance(a, OrderedTree) and isinstance(b, OrderedTree):
-        ball = _tree_ball
+        balls = _tree_balls
     elif isinstance(a, StackMap) and isinstance(b, StackMap):
-        ball = map_ball_code
+        balls = _map_balls
     else:
         raise TypeError("local_distance needs two trees or two maps")
     if a.arity != b.arity:  # two single leaves would agree at every radius
         raise TypeError("cannot compare trees of different arities or maps of different families")
     if a == b:
         return 0.0
-    k = 0
-    while ball(a, k + 1) == ball(b, k + 1):
-        k += 1
-    return 1.0 / (1.0 + k)
+    (ball_a, top_a), (ball_b, top_b) = balls(a), balls(b)
+    top = max(top_a, top_b)  # the balls differ here: both objects are whole
+
+    def same(r: int) -> bool:
+        return ball_a(r) == ball_b(r)
+
+    lo, hi = 0, 1  # the balls agree at lo (vacuously at 0) and differ at hi
+    while hi < top and same(hi):
+        lo, hi = hi, 2 * hi
+    hi = min(hi, top)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if same(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 1.0 / (1.0 + lo)
 
 
-def _tree_ball(t: OrderedTree, r: int) -> list[int]:
-    """Preorder offspring sequence of t cut at depth r: equal for two trees
-    iff their nodes of depth <= r are."""
+def _tree_balls(t: OrderedTree):
+    """(r -> ball code of t at radius r, height of t).  The code is the
+    preorder offspring sequence of t cut at depth r: equal for two trees iff
+    their nodes of depth <= r are."""
+    parent = t.parent
     depth = [0] * len(t)
     for i in range(1, len(t)):
-        depth[i] = depth[t.parent[i]] + 1
-    return [c if d < r else 0 for c, d in zip(t.offspring, depth) if d <= r]
+        depth[i] = depth[parent[i]] + 1
+
+    def ball(r: int) -> list[int]:
+        return [c if d < r else 0 for c, d in zip(t.offspring, depth) if d <= r]
+
+    return ball, max(depth)
+
+
+def _map_balls(m: StackMap):
+    """(r -> map_ball_code(m, r), eccentricity of the root vertex)."""
+    dist = distance_matrix(m, sources=[0])[0].tolist()
+    rot = rotation_system(m)
+    return (lambda r: _ball_code(dist, rot, m.root_edge[1], r)), max(dist)
 
 
 def map_ball_code(m: StackMap, r: int):
@@ -56,12 +87,16 @@ def map_ball_code(m: StackMap, r: int):
     Two balls get the same code iff they are isomorphic as rooted planar
     maps, so the code is safe to compare across maps.
     """
-    dist = distance_matrix(m, sources=[0])[0].tolist()
-    rot = rotation_system(m)
-    # BFS assigning canonical labels; at each vertex enumerate neighbors in
-    # rotation order starting from the arrival edge
+    return _ball_code(distance_matrix(m, sources=[0])[0].tolist(), rotation_system(m),
+                      m.root_edge[1], r)
+
+
+def _ball_code(dist, rot, first, r: int):
+    # BFS from vertex 0 assigning canonical labels; at each vertex enumerate
+    # neighbors in rotation order starting from the arrival edge (the root
+    # edge's other end ``first`` at the root)
     label, order, code = {0: 0}, [0], []
-    arrival = {0: m.root_edge[1]}
+    arrival = {0: first}
     for v in order:  # grows as vertices are labelled
         nbrs, w = [], arrival[v]
         for _ in rot[v]:
@@ -92,11 +127,12 @@ def _ball_nodes(t: OrderedTree, r: int) -> list[int]:
     in one preorder pass that folds each node's face type from its parent's
     and skips the subtree of a face with 1 + min(type) > r."""
     fold, joined = _FOLD[t.arity], _JOINED[t.arity]
+    parent, letter = t.parent, t.letter
     types = [fold(())] * len(t)
     out, i = [], 0
     while i < len(t):
         if i:
-            types[i] = fold((t.letter[i],), types[t.parent[i]])
+            types[i] = fold((letter[i],), types[parent[i]])
         if 1 + min(types[i][joined]) <= r:
             out.append(i)
         elif 1 + min(types[i]) > r:
@@ -169,12 +205,13 @@ def infinite_map_ball(t: OrderedTree, r: int) -> StackMap:
     nested maps."""
     # the passage value is not monotone along branches (quadrangulations),
     # so close the selected internal nodes under taking parents
+    parent = t.parent
     chosen = bytearray(len(t))
     for i in _ball_nodes(t, r):
         while i >= 0 and t.offspring[i] and not chosen[i]:
             chosen[i] = 1
-            i = t.parent[i]
+            i = parent[i]
     # the truncated tree: the root and every child of a chosen node
-    offspring = [t.arity * chosen[i] for i in range(len(t)) if i == 0 or chosen[t.parent[i]]]
+    offspring = [t.arity * chosen[i] for i in range(len(t)) if i == 0 or chosen[parent[i]]]
     family = maps_mod.TRIANGULATION if t.arity == 3 else maps_mod.QUADRANGULATION
     return maps_mod.map_from_tree(OrderedTree(t.arity, offspring), family)

@@ -111,25 +111,22 @@ class StackMap:
         return [words[i] for i, c in enumerate(self.tree.offspring) if not c]
 
     def word_of(self, vid: int) -> Word:
-        """Birth-face word of an internal vertex; O(n), since it lists the
-        internal nodes to find the (vid - n_boundary)-th in preorder."""
+        """Birth-face word of an internal vertex, in O(depth): vertex
+        n_boundary + r is the internal node of rank r in preorder."""
         if vid < self.n_boundary:
             raise ValueError(f"vertex {vid} is a boundary vertex")
-        return self.tree.word(self.tree.internal_indices()[vid - self.n_boundary])
+        t = self.tree
+        return t.word(t._arrays().child[t.arity * (vid - self.n_boundary)] - 1)
 
     def vertex_of(self, word: Word) -> int:
-        """Id of the vertex inserted in the given face; KeyError if the
-        face is a leaf or not in the tree.
-
-        The nodes before node i in preorder are its ancestors and the
-        subtrees of their left siblings, which gives the Lukasiewicz
-        identity k * (internal nodes before i) = i + sum(k - letter).
-        """
-        t, k = self.tree, self.arity
-        i = t.index_of(word)
-        if not t.offspring[i]:
+        """Id of the vertex inserted in the given face: the boundary, then
+        the face's rank among the internal nodes in preorder.  KeyError if
+        the face is a leaf or not in the tree."""
+        t = self.tree
+        r = t._arrays().rank[t.index_of(word)]
+        if r < 0:
             raise KeyError(word)
-        return self.n_boundary + (i + sum(k - a for a in word)) // k
+        return self.n_boundary + r
 
     def degree(self, vid: int) -> int:
         return len(self.adjacency[vid])

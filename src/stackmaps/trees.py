@@ -10,6 +10,7 @@ is computed on demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,51 +54,96 @@ def is_valid_tree(nodes, arity: int) -> bool:
     return True
 
 
+class _Navigation(NamedTuple):
+    """Navigation arrays of an ``OrderedTree``, built together in one
+    preorder pass and one reverse pass.
+
+    ``rank[i]`` is node i's rank among the internal nodes in preorder (-1
+    for a leaf), and ``child[k * r + l - 1]`` is the preorder index of child
+    l of the internal node of rank r: the preorder twin of
+    ``IncreasingTree.slot``.  The internal node of rank r is
+    ``child[k * r] - 1``, since a first child follows its parent.
+    """
+
+    parent: list[int]
+    letter: list[int]
+    rank: list[int]
+    child: list[int]
+    end: list[int]
+
+
+def _navigation(arity: int, offspring: list[int]) -> _Navigation:
+    n = len(offspring)
+    # the arrays share the int objects of this one list instead of each
+    # making its own, which about halves their memory
+    index = list(range(n + 1))
+    parent = [-1] * n
+    letter = [0] * n
+    rank = [-1] * n
+    child = [0] * (n - 1)  # arity slots per internal node
+    internal: list[int] = []  # rank -> preorder index
+    slots: list[int] = []  # open child slots, the next one on top
+    for i, c in zip(index, offspring):
+        if i:
+            s = slots.pop()
+            child[s] = i
+            parent[i] = internal[s // arity]
+            letter[i] = s % arity + 1
+        if c:
+            r = len(internal)
+            rank[i] = index[r]
+            internal.append(i)
+            slots.extend(range(arity * r + arity - 1, arity * r - 1, -1))
+    # end[i]: one past the last node of the subtree of i, which is where the
+    # subtree of its last child ends; children have higher ranks, so one
+    # pass over the ranks from the last fills it
+    end = index[1:]
+    for r in range(len(internal) - 1, -1, -1):
+        end[internal[r]] = end[child[arity * r + arity - 1]]
+    return _Navigation(parent, letter, rank, child, end)
+
+
 class OrderedTree:
     """Full ordered tree of fixed arity, nodes indexed 0..n-1 in preorder.
 
-    ``offspring[i]`` is 0 (leaf) or ``arity``; ``parent[i]`` / ``letter[i]``
-    give the parent index and the child letter (root: parent -1, letter 0).
+    The tree is its offspring sequence: ``offspring[i]`` is 0 (leaf) or
+    ``arity``.  The constructor checks it with one pass over the
+    Lukasiewicz walk.  The navigation arrays are built together the first
+    time anything reads them: ``parent[i]`` / ``letter[i]`` give the parent
+    index and the child letter (root: parent -1, letter 0), and a child
+    table gives each internal node's children, so a word is looked up with
+    one table read per letter.
     """
 
-    __slots__ = ("arity", "offspring", "parent", "letter", "_end")
+    __slots__ = ("arity", "offspring", "_nav")
 
     def __init__(self, arity: int, offspring):
         self.arity = arity
-        self.offspring = list(offspring)
-        n = len(self.offspring)
-        parent = [-1] * n
-        letter = [0] * n
-        stack: list[list[int]] = []  # [node, next letter]
-        for i, c in enumerate(self.offspring):
-            if c not in (0, arity):
+        self.offspring = offspring.tolist() if isinstance(offspring, np.ndarray) else list(offspring)
+        open_slots = 1  # children still to place
+        for c in self.offspring:
+            if c != 0 and c != arity:
                 raise ValueError(f"offspring count {c} invalid for arity {arity}")
-            if i > 0:
-                if not stack:
-                    raise ValueError("offspring sequence ends early")
-                top = stack[-1]
-                parent[i] = top[0]
-                letter[i] = top[1]
-                top[1] += 1
-                if top[1] > arity:
-                    stack.pop()
-            if c:
-                stack.append([i, 1])
-        if stack:
+            if not open_slots:
+                raise ValueError("offspring sequence ends early")
+            open_slots += c - 1
+        if open_slots:
             raise ValueError("offspring sequence is incomplete")
-        self.parent = parent
-        self.letter = letter
-        # end[i]: one past the last node of the subtree of i.  The first
-        # child of i is i + 1 and each later child starts where its left
-        # sibling's subtree ends, so one reverse pass fills the array.
-        end = list(range(1, n + 1))
-        for i in range(n - 1, -1, -1):
-            if self.offspring[i]:
-                j = i + 1
-                for _ in range(arity):
-                    j = end[j]
-                end[i] = j
-        self._end = end
+        self._nav: _Navigation | None = None
+
+    def _arrays(self) -> _Navigation:
+        """The navigation arrays, built on the first call."""
+        if self._nav is None:
+            self._nav = _navigation(self.arity, self.offspring)
+        return self._nav
+
+    @property
+    def parent(self) -> list[int]:
+        return self._arrays().parent
+
+    @property
+    def letter(self) -> list[int]:
+        return self._arrays().letter
 
     # -- basic structure ---------------------------------------------------
 
@@ -106,7 +152,7 @@ class OrderedTree:
 
     @property
     def n_internal(self) -> int:
-        return sum(1 for c in self.offspring if c)
+        return (len(self.offspring) - 1) // self.arity
 
     def children(self, i: int) -> tuple[int, ...]:
         """Child indices of node i in letter order.
@@ -114,40 +160,45 @@ class OrderedTree:
         Children of a node are NOT contiguous in preorder: the first is
         i + 1, each later one starts where its left sibling's subtree ends.
         """
-        if not self.offspring[i]:
+        nav = self._arrays()
+        r = nav.rank[i]
+        if r < 0:
             return ()
-        out = [i + 1]
-        for _ in range(self.arity - 1):
-            out.append(self._end[out[-1]])
-        return tuple(out)
+        return tuple(nav.child[self.arity * r:self.arity * (r + 1)])
 
     def subtree_end(self, i: int) -> int:
         """Index one past the last node of the subtree rooted at i."""
-        return self._end[i]
+        return self._arrays().end[i]
 
     def word(self, i: int) -> Word:
+        parent, letter = self.parent, self.letter
         rev = []
         while i > 0:
-            rev.append(self.letter[i])
-            i = self.parent[i]
+            rev.append(letter[i])
+            i = parent[i]
         return tuple(reversed(rev))
 
     def words(self) -> list[Word]:
+        parent, letter = self.parent, self.letter
         out: list[Word] = [()] * len(self)
         for i in range(1, len(self)):
-            out[i] = out[self.parent[i]] + (self.letter[i],)
+            out[i] = out[parent[i]] + (letter[i],)
         return out
 
     def index_of(self, w: Word) -> int:
         """Preorder index of the node with word w; KeyError if there is
         none (a letter outside 1..arity, or a step below a leaf)."""
+        k = self.arity
+        if w and not (1 <= min(w) and max(w) <= k):
+            raise KeyError(w)
+        nav = self._arrays()
+        rank, child = nav.rank, nav.child
         i = 0
         for letter in w:
-            if not self.offspring[i] or not 1 <= letter <= self.arity:
+            r = rank[i]
+            if r < 0:
                 raise KeyError(w)
-            i += 1
-            for _ in range(letter - 1):
-                i = self._end[i]
+            i = child[k * r + letter - 1]
         return i
 
     def internal_indices(self) -> list[int]:
@@ -206,14 +257,28 @@ class OrderedTree:
 
     @classmethod
     def from_parens(cls, arity: int, s: str) -> "OrderedTree":
-        offspring = []
+        """Inverse of ``to_parens``: ValueError on any other string."""
+        offspring: list[int] = []
+        pending: list[int] = []  # children still due, per open internal node
         for ch in s:
+            if ch == ")":
+                if not pending or pending[-1]:
+                    raise ValueError("unexpected ')' in parenthesis string")
+                pending.pop()
+                continue
+            if pending:
+                if not pending[-1]:
+                    raise ValueError("missing ')' in parenthesis string")
+                pending[-1] -= 1
             if ch == "(":
                 offspring.append(arity)
+                pending.append(arity)
             elif ch == "o":
                 offspring.append(0)
-            elif ch != ")":
+            else:
                 raise ValueError(f"bad character {ch!r}")
+        if pending:
+            raise ValueError("missing ')' in parenthesis string")
         return cls(arity, offspring)
 
     def to_json_dict(self) -> dict:
@@ -291,9 +356,10 @@ class IncreasingTree:
 
 def height_process(t: OrderedTree) -> list[int]:
     """Depths of the internal nodes taken in lexicographic order."""
+    parent = t.parent
     depths = [0] * len(t)
     for i in range(1, len(t)):
-        depths[i] = depths[t.parent[i]] + 1
+        depths[i] = depths[parent[i]] + 1
     return [depths[i] for i in t.internal_indices()]
 
 

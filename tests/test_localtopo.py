@@ -1,9 +1,12 @@
 """Local-topology distance, passage balls, and the spine sampler."""
 
+import math
 import sys
+import time
 
 import pytest
 
+from stackmaps import localtopo
 from stackmaps.localtopo import (
     gamma_ball,
     infinite_map_ball,
@@ -11,7 +14,14 @@ from stackmaps.localtopo import (
     map_ball_code,
     sample_spine_tree,
 )
-from stackmaps.maps import QUADRANGULATION, TRIANGULATION, map_from_tree, rotation_system
+from stackmaps.maps import (
+    QUADRANGULATION,
+    TRIANGULATION,
+    StackMap,
+    grow,
+    map_from_tree,
+    rotation_system,
+)
 from stackmaps.passage import quad_type, tri_root_distance, tri_type
 from stackmaps.stats import EmpiricalPMF
 from stackmaps.trees import OrderedTree, rng_from_seed, sample_uniform_tree
@@ -71,6 +81,82 @@ def test_local_distance_ultrametric_fixtures():
         for b in ts:
             for c in ts:
                 assert local_distance(a, c) <= max(local_distance(a, b), local_distance(b, c)) + 1e-12
+
+
+def _reference_local_distance(a, b):
+    """The definition: try radii 1, 2, ... until the balls differ."""
+    if a == b:
+        return 0.0
+    if isinstance(a, OrderedTree):
+        def ball(t, r):  # the offspring sequence cut at depth r
+            return [c if len(w) < r else 0 for w, c in zip(t.words(), t.offspring) if len(w) <= r]
+    else:
+        ball = map_ball_code
+    k = 0
+    while ball(a, k + 1) == ball(b, k + 1):
+        k += 1
+    return 1.0 / (1.0 + k)
+
+
+def _random_pairs(arity, family, rng):
+    """Pairs of small trees and of their maps: one tree and a copy grown in a
+    random face (close pairs) or an independent tree (far pairs)."""
+    for _ in range(25):
+        a = sample_uniform_tree(arity, int(rng.integers(0, 40)), rng)
+        if rng.random() < 0.7:
+            m = map_from_tree(a, family)
+            faces = m.leaf_faces()
+            b = grow(m, faces[int(rng.integers(len(faces)))]).tree
+        else:
+            b = sample_uniform_tree(arity, int(rng.integers(0, 40)), rng)
+        yield a, b
+        yield map_from_tree(a, family), map_from_tree(b, family)
+
+
+@pytest.mark.parametrize("arity, family", [(3, TRIANGULATION), (2, QUADRANGULATION)], ids=["tri", "quad"])
+def test_local_distance_matches_definition(arity, family):
+    rng = rng_from_seed(61, arity)
+    for a, b in _random_pairs(arity, family, rng):
+        assert local_distance(a, b) == _reference_local_distance(a, b)
+        assert local_distance(b, a) == local_distance(a, b)
+
+
+def test_local_distance_builds_each_map_once(monkeypatch):
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return rotation_system(m)
+
+    monkeypatch.setattr(localtopo, "rotation_system", counting)
+    rng = rng_from_seed(62)
+    for a, b in _random_pairs(3, TRIANGULATION, rng):
+        if isinstance(a, StackMap):
+            calls.clear()
+            local_distance(a, b)
+            assert len(calls) <= 2 and all(calls.count(m) <= 1 for m in calls)
+
+
+def test_local_distance_deep_difference_is_fast(monkeypatch):
+    # two uniform maps with n = 2*10^4 whose first difference is one vertex
+    # inserted at distance 86 from the root; trying every radius with a
+    # fresh BFS and rotation system took about 30 s
+    t = sample_uniform_tree(3, 2 * 10**4, rng_from_seed(3))
+    a = map_from_tree(t, TRIANGULATION)
+    face = next(w for w in a.leaf_faces() if tri_root_distance(w) == 86)
+    b = grow(a, face)
+    codes = []
+
+    def counting(*args):
+        codes.append(args[-1])
+        return ball_code(*args)
+
+    ball_code = localtopo._ball_code
+    monkeypatch.setattr(localtopo, "_ball_code", counting)
+    start = time.perf_counter()
+    assert local_distance(a, b) == 1.0 / 86
+    assert time.perf_counter() - start < 10
+    assert len(codes) <= 2 * (2 * math.ceil(math.log2(86)) + 1)
 
 
 def test_map_ball_code_distinguishes_and_matches():

@@ -114,6 +114,55 @@ def test_word_of_and_vertex_of_are_inverse(family, arity):
         assert [m.word_of(m.vertex_of(w)) for w in t.internal_words()] == t.internal_words()
 
 
+@pytest.mark.parametrize("family, arity", [(TRIANGULATION, 3), (QUADRANGULATION, 2)])
+def test_vertex_of_matches_word_rank(family, arity):
+    # reference: a vertex id is n_boundary plus the word's rank among the
+    # internal words in preorder
+    rng = rng_from_seed(19, arity)
+    for n in (0, 1, 2, 9, 80, 700):
+        m = map_from_tree(sample_uniform_tree(arity, n, rng), family)
+        internal = m.tree.internal_words()
+        assert [m.vertex_of(w) for w in internal] == list(range(m.n_boundary, m.n_vertices))
+        assert [m.word_of(v) for v in range(m.n_boundary, m.n_vertices)] == internal
+
+
+@pytest.mark.parametrize("family, arity", [(TRIANGULATION, 3), (QUADRANGULATION, 2)])
+def test_vertex_of_key_errors(family, arity):
+    m = map_from_tree(OrderedTree.from_internal_words(arity, [(), (1,)]), family)
+    leaf = (2,)
+    for w in [leaf, leaf + (1,), (1, 1), (1, 1, 1), (0,), (-1,), (arity + 1,), (1, arity + 1)]:
+        with pytest.raises(KeyError):
+            m.vertex_of(w)
+    with pytest.raises(KeyError):
+        theta(family).vertex_of(())
+
+
+def test_word_of_reads_the_child_table(monkeypatch):
+    # word_of no longer lists every internal node to find one
+    m = map_from_tree(sample_uniform_tree(3, 200, rng_from_seed(20)), TRIANGULATION)
+    words = m.tree.internal_words()
+
+    def listing(self):
+        raise AssertionError("internal_indices called")
+
+    monkeypatch.setattr(OrderedTree, "internal_indices", listing)
+    assert [m.word_of(v) for v in range(m.n_boundary, m.n_vertices)] == words
+    with pytest.raises(ValueError):
+        m.word_of(m.n_boundary - 1)
+    with pytest.raises(IndexError):
+        m.word_of(m.n_vertices)
+
+
+@pytest.mark.parametrize("family, arity", [(TRIANGULATION, 3), (QUADRANGULATION, 2)])
+def test_map_round_trip_builds_no_navigation_arrays(family, arity):
+    t = sample_uniform_tree(arity, 300, rng_from_seed(21))
+    m = map_from_tree(t, family)
+    recovered = tree_from_map(m)
+    m.to_json()
+    assert recovered == t and hash(recovered) == hash(t) and m == map_from_tree(recovered, family)
+    assert t._nav is None and recovered._nav is None
+
+
 def test_roundtrip_exhaustive_small():
     for family, arity in ((TRIANGULATION, 3), (QUADRANGULATION, 2)):
         for n in range(5):
@@ -402,6 +451,12 @@ def test_json_roundtrip():
     m2 = StackMap.from_json_dict(json.loads(m.to_json()))
     assert m == m2
     assert m2.adjacency == m.adjacency
+
+
+@pytest.mark.parametrize("tree", ["(o)oo", "(ooo", "o)))", ")(ooo", "", "(ooo)o"])
+def test_from_json_rejects_bad_tree_strings(tree):
+    with pytest.raises(ValueError):
+        StackMap.from_json_dict({"family": TRIANGULATION, "tree": tree})
 
 
 def test_drawing_and_svg():

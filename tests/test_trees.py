@@ -1,5 +1,7 @@
 """Ordered trees, samplers, and structural helpers."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,21 +55,89 @@ def test_index_of_rejects_letters_outside_alphabet():
     for w in [(0,), (-1,), (4,), (1, 1)]:
         with pytest.raises(KeyError):
             t.index_of(w)
+    # a leaf word is a node; a step below a leaf, or a bad letter deeper
+    # down, is not
+    for arity in (2, 3):
+        t = OrderedTree.from_internal_words(arity, [(), (1,)])
+        assert t.index_of((2,)) == arity + 2
+        for w in [(2, 1), (1, 1, 1), (1, 0), (1, arity + 1), (0, 1)]:
+            with pytest.raises(KeyError):
+                t.index_of(w)
+        assert OrderedTree.single_leaf(arity).index_of(()) == 0
 
 
 @pytest.mark.parametrize("arity", [2, 3])
 def test_child_access_matches_word_set(arity):
     # reference: children, subtree ends and indices read off the word list
     rng = rng_from_seed(31)
-    for n in (0, 1, 5, 40):
+    for n in (0, 1, 5, 40, 300):
         t = sample_uniform_tree(arity, n, rng)
         words = t.words()
         index = {w: i for i, w in enumerate(words)}
+        internal = [w for i, w in enumerate(words) if t.offspring[i]]
+        rank = {w: r for r, w in enumerate(internal)}
         for i, w in enumerate(words):
             kids = tuple(index[w + (a,)] for a in range(1, arity + 1)) if t.offspring[i] else ()
             assert t.children(i) == kids
-            assert t.subtree_end(i) == i + sum(1 for v in words if v[: len(w)] == w)
+            if n <= 40:
+                assert t.subtree_end(i) == i + sum(1 for v in words if v[: len(w)] == w)
             assert t.index_of(w) == i
+            assert t._arrays().rank[i] == rank.get(w, -1)
+
+
+def _reference_check_message(arity, offspring):
+    """Message the stack-based constructor gave for an offspring sequence
+    (None if it accepted it); it accepted the empty sequence, which is now
+    rejected as incomplete."""
+    if not offspring:
+        return "offspring sequence is incomplete"
+    stack = []
+    for i, c in enumerate(offspring):
+        if c not in (0, arity):
+            return f"offspring count {c} invalid for arity {arity}"
+        if i > 0:
+            if not stack:
+                return "offspring sequence ends early"
+            stack[-1][1] += 1
+            if stack[-1][1] > arity:
+                stack.pop()
+        if c:
+            stack.append([i, 1])
+    return "offspring sequence is incomplete" if stack else None
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_constructor_rejects_invalid_offspring(arity):
+    # every sequence of length <= 7 over {0, 1, arity}, the empty one included
+    for n in range(8):
+        for off in itertools.product((0, 1, arity), repeat=n):
+            want = _reference_check_message(arity, off)
+            if want is None:
+                assert len(OrderedTree(arity, off)) == n
+            else:
+                with pytest.raises(ValueError) as err:
+                    OrderedTree(arity, off)
+                assert str(err.value) == want, off
+
+
+def test_empty_tree_rejected():
+    for arity in (2, 3):
+        with pytest.raises(ValueError, match="offspring sequence is incomplete"):
+            OrderedTree(arity, [])
+        with pytest.raises(ValueError, match="offspring sequence is incomplete"):
+            OrderedTree.from_parens(arity, "")
+
+
+def test_navigation_arrays_built_on_first_use():
+    rng = rng_from_seed(33)
+    t = sample_uniform_tree(3, 50, rng)
+    u = OrderedTree(3, list(t.offspring))
+    assert t == u and hash(t) == hash(u)
+    assert OrderedTree.from_parens(3, t.to_parens()) == t
+    assert t._nav is None and u._nav is None
+    parent = t.parent
+    assert t._nav is not None and t.letter is t._arrays().letter
+    assert t.parent is parent  # built once
 
 
 def test_from_internal_words_matches_offspring():
@@ -95,6 +165,26 @@ def test_parens_roundtrip():
         assert OrderedTree.from_parens(3, t.to_parens()) == t
     for t in enumerate_trees(2, 4):
         assert OrderedTree.from_parens(2, t.to_parens()) == t
+
+
+@pytest.mark.parametrize("arity, max_len", [(2, 11), (3, 9)])
+def test_from_parens_accepts_exactly_to_parens(arity, max_len):
+    # every string over "(", ")", "o" up to max_len characters; ")" used to
+    # be skipped, so "(o)oo", "(ooo", "o)))" and ")(ooo" all parsed as "(ooo)"
+    valid = {
+        t.to_parens()
+        for n in range(max_len // 2 + 1)
+        for t in enumerate_trees(arity, n)
+        if len(t.to_parens()) <= max_len
+    }
+    for n in range(max_len + 1):
+        for chars in itertools.product("()o", repeat=n):
+            s = "".join(chars)
+            if s in valid:
+                assert OrderedTree.from_parens(arity, s).to_parens() == s
+            else:
+                with pytest.raises(ValueError):
+                    OrderedTree.from_parens(arity, s)
 
 
 def test_json_roundtrip():
