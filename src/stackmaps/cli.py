@@ -37,6 +37,9 @@ FRAG_K_RANGE = (1, 10**5)
 BALL_R_RANGE = (1, 30)
 STATS_N_RANGE = (2, 10**6)
 STATS_REPS_RANGE = (1, 10**6)
+# verify --max-exhaustive mx: the pair-bound check runs sizes 2..mx, and the
+# histories check enumerates trees of size mx + 1
+MAX_EXHAUSTIVE_RANGE = (2, trees.DEFAULT_EXHAUSTIVE_BOUND - 1)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,15 +107,10 @@ def cmd_count(args) -> int:
     return 0
 
 
-#: experiments that run a fixed list of sizes and read no single n
-_SIZED_EXPERIMENTS = ("typical-distance", "radius-scaling")
-
-
 def cmd_stats(args) -> int:
+    # run_experiment rejects --n for the sized experiments
     params = {}
     if args.n is not None:
-        if args.experiment in _SIZED_EXPERIMENTS:
-            raise ValueError(f"--n does not apply to {args.experiment}, which runs fixed sizes")
         _check_range("n", args.n, STATS_N_RANGE)
         params["n"] = args.n
     if args.reps is not None:
@@ -171,6 +169,7 @@ def cmd_passage(args) -> int:
 def cmd_verify(args) -> int:
     from . import verify as verify_mod
 
+    _check_range("max-exhaustive", args.max_exhaustive, MAX_EXHAUSTIVE_RANGE)
     results = verify_mod.run_all(level=args.level, max_exhaustive=args.max_exhaustive)
     failed = [name for name, ok, _ in results if not ok]
     for name, ok, detail in results:

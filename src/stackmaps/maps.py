@@ -113,8 +113,9 @@ class StackMap:
     def word_of(self, vid: int) -> Word:
         """Birth-face word of an internal vertex, in O(depth): vertex
         n_boundary + r is the internal node of rank r in preorder."""
-        if vid < self.n_boundary:
-            raise ValueError(f"vertex {vid} is a boundary vertex")
+        if not self.n_boundary <= vid < self.n_vertices:
+            raise ValueError(f"vertex {vid} is not an internal vertex "
+                             f"{self.n_boundary}..{self.n_vertices - 1}")
         t = self.tree
         return t.word(t._arrays().child[t.arity * (vid - self.n_boundary)] - 1)
 

@@ -145,13 +145,12 @@ def gamma_prime_literal(word: Word) -> int:
     return count + (0 if clean else 1)
 
 
-def gamma_prime_pair(u: Word, v: Word, literal: bool = False) -> int:
-    """Pair version of the binary passage count through the lca; uses the
-    type-automaton distance unless ``literal`` selects the block count."""
-    f = gamma_prime_literal if literal else quad_root_distance
+def gamma_prime_pair(u: Word, v: Word) -> int:
+    """Pair version of the binary passage count through the lca, with the
+    type-automaton distance ``quad_root_distance``."""
     w = lca(u, v)
     if len(w) == len(u) or len(w) == len(v):
         raise ValueError(
             "gamma_prime_pair requires that neither word is an ancestor of the other"
         )
-    return f(u[len(w):]) + f(v[len(w):])
+    return quad_root_distance(u[len(w):]) + quad_root_distance(v[len(w):])

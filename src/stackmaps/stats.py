@@ -1,9 +1,18 @@
 """Map observables, exact degree/subtree/urn laws, and the Monte-Carlo
 experiment harness.
 
-The harness is seed-deterministic: replica r of an experiment run with seed
-s draws from Generator(PCG64(SeedSequence((s, r)))), and all reductions are
-order-independent, so reports are bit-for-bit reproducible.
+The harness is seed-deterministic.  With seed s, the experiments draw from
+three stream layouts, each stream being Generator(PCG64(SeedSequence(...))):
+
+- single-size experiments (gamma-rate, quad-rate, tri-depth, bin-depth):
+  replica r draws from (s, r);
+- sized experiments (typical-distance, radius-scaling): replica r of the
+  si-th size draws from (s, si·10^6 + r);
+- chi-square experiments (degree-uniform, subtree-size): one stream, s, from
+  which each sample draws its tree, then its internal node.
+
+All reductions are order-independent, so reports are bit-for-bit
+reproducible.
 """
 
 from __future__ import annotations
@@ -11,8 +20,9 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import comb, log
 
 import numpy as np
@@ -21,7 +31,7 @@ from . import maps as maps_mod
 from . import trees as trees_mod
 from .counting import count_forests, count_trees
 from .passage import gamma, gamma_prime_literal, quad_root_distance
-from .trees import OrderedTree, rng_from_seed
+from .trees import rng_from_seed
 
 #: renewal rate of the block count on uniform ternary letters
 GAMMA_RATE_TRI = 2.0 / 11.0
@@ -30,6 +40,8 @@ GAMMA_RATE_TRI = 2.0 / 11.0
 #: reference
 GAMMA_RATE_QUAD_DERIVED = 1.0 / 5.0
 GAMMA_RATE_QUAD_CLAIMED = 1.0 / 3.0
+#: chi-square bins are merged until each expects at least this many samples
+CHI2_MIN_EXPECTED = 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +210,9 @@ class EmpiricalPMF:
     def add(self, x: int, w: int = 1) -> None:
         self.counts[x] = self.counts.get(x, 0) + w
 
-    def chisquare_pvalue(self, pmf, support_start: int = 0, min_expected: float = 5.0) -> float:
+    def chisquare_pvalue(self, pmf, support_start: int = 0) -> float:
         """Goodness of fit against ``pmf(k)``, merging the upper tail so
-        every expected count is at least ``min_expected``.  Raises
+        every expected count is at least ``CHI2_MIN_EXPECTED``.  Raises
         ValueError on an empty sample; gives NaN when fewer than two bins
         remain, which leaves the test no degree of freedom."""
         n = self.n
@@ -215,13 +227,13 @@ class EmpiricalPMF:
             tail_mass -= p
             acc_o += self.counts.get(k, 0)
             acc_e += n * p
-            if acc_e >= min_expected:
+            if acc_e >= CHI2_MIN_EXPECTED:
                 obs.append(acc_o)
                 exp.append(acc_e)
                 acc_o, acc_e = 0.0, 0.0
         # everything beyond kmax plus any unflushed remainder
         acc_e += n * max(tail_mass, 0.0)
-        if exp and acc_e < min_expected:
+        if exp and acc_e < CHI2_MIN_EXPECTED:
             obs[-1] += acc_o
             exp[-1] += acc_e
         else:
@@ -243,6 +255,11 @@ class EmpiricalPMF:
 # ---------------------------------------------------------------------------
 # experiment harness
 
+#: gamma-rate and quad-rate pass when a mean rate is this close to its reference
+RATE_TOL = 0.005
+#: radius-scaling passes when its ratio of mean radii lies in this range
+RADIUS_RATIO_BAND = (1.8, 2.2)
+
 
 @dataclass
 class ExperimentReport:
@@ -255,20 +272,8 @@ class ExperimentReport:
     references: list
     passed: bool | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "params": self.params,
-            "seed": self.seed,
-            "replicates": self.replicates,
-            "estimates": self.estimates,
-            "stderrs": self.stderrs,
-            "references": self.references,
-            "passed": self.passed,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
     def to_csv(self) -> str:
         lines = ["key,value"]
@@ -288,44 +293,57 @@ def _mean_se(xs) -> tuple[float, float]:
     return float(a.mean()), float(se)
 
 
-def _exp_gamma_rate(params, seed):
-    n = int(params.get("n", 10**6))
-    reps = int(params.get("reps", 30))
-    vals = []
-    for r in range(reps):
-        rng = rng_from_seed(seed, r)
-        letters = rng.integers(1, 4, size=n).tolist()
-        vals.append((gamma(letters) - 1) / n)
-    mean, se = _mean_se(vals)
-    tol = float(params.get("tol", 0.005))
-    return ExperimentReport(
-        "gamma-rate", {"n": n, "reps": reps}, seed, reps,
+def _replicas(sample, seed: int, reps: int, stream: int = 0) -> list:
+    """``sample(rng)`` of each replica r, drawn from (seed, stream + r)."""
+    return [sample(rng_from_seed(seed, stream + r)) for r in range(reps)]
+
+
+def _sized_replicas(sample, seed: int, sizes: list, reps: int) -> tuple[dict, dict]:
+    """Mean and standard error of ``sample(n, rng)`` for each size n, keyed
+    by str(n); replica r of the si-th size draws from (seed, si·10^6 + r)."""
+    means, ses = {}, {}
+    for si, n in enumerate(sizes):
+        means[str(n)], ses[str(n)] = _mean_se(_replicas(partial(sample, n), seed, reps, si * 10**6))
+    return means, ses
+
+
+def _fringe_samples(seed: int, n: int, reps: int):
+    """Yield (offspring, i) reps times: a uniform ternary tree with n
+    internal nodes, then a uniform internal node i of it, both drawn from
+    the one stream of ``seed``."""
+    rng = rng_from_seed(seed)
+    for _ in range(reps):
+        off = trees_mod.sample_offspring_sequence(3, n, rng)
+        internal = np.flatnonzero(off)
+        yield off, int(internal[rng.integers(len(internal))])
+
+
+def _gamma_rate(seed, n, reps):
+    mean, se = _mean_se(_replicas(
+        lambda rng: (gamma(rng.integers(1, 4, size=n).tolist()) - 1) / n, seed, reps))
+    return (
         {"rate": mean}, {"rate": se},
         [{"name": "renewal_rate", "value": GAMMA_RATE_TRI, "provenance": "analytic-renewal"}],
-        passed=abs(mean - GAMMA_RATE_TRI) <= tol,
+        abs(mean - GAMMA_RATE_TRI) <= RATE_TOL,
     )
 
 
-def _exp_quad_rate(params, seed):
-    n = int(params.get("n", 10**6))
-    reps = int(params.get("reps", 10))
-    auto_vals, lit_vals = [], []
-    for r in range(reps):
-        rng = rng_from_seed(seed, r)
-        letters = rng.integers(1, 3, size=n).tolist()
-        auto_vals.append(quad_root_distance(letters) / n)
-        lit_vals.append((gamma_prime_literal(tuple(letters)) - 1) / n)
+def _quad_rates(n, rng) -> tuple[float, float]:
+    letters = rng.integers(1, 3, size=n).tolist()
+    return quad_root_distance(letters) / n, (gamma_prime_literal(tuple(letters)) - 1) / n
+
+
+def _quad_rate(seed, n, reps):
+    auto_vals, lit_vals = zip(*_replicas(partial(_quad_rates, n), seed, reps))
     mean_a, se_a = _mean_se(auto_vals)
     mean_l, se_l = _mean_se(lit_vals)
-    tol = float(params.get("tol", 0.005))
     matches = {
-        "automaton_vs_1_5": abs(mean_a - GAMMA_RATE_QUAD_DERIVED) <= tol,
-        "automaton_vs_1_3": abs(mean_a - GAMMA_RATE_QUAD_CLAIMED) <= tol,
-        "literal_vs_1_5": abs(mean_l - GAMMA_RATE_QUAD_DERIVED) <= tol,
-        "literal_vs_1_3": abs(mean_l - GAMMA_RATE_QUAD_CLAIMED) <= tol,
+        "automaton_vs_1_5": abs(mean_a - GAMMA_RATE_QUAD_DERIVED) <= RATE_TOL,
+        "automaton_vs_1_3": abs(mean_a - GAMMA_RATE_QUAD_CLAIMED) <= RATE_TOL,
+        "literal_vs_1_5": abs(mean_l - GAMMA_RATE_QUAD_DERIVED) <= RATE_TOL,
+        "literal_vs_1_3": abs(mean_l - GAMMA_RATE_QUAD_CLAIMED) <= RATE_TOL,
     }
-    return ExperimentReport(
-        "quad-rate", {"n": n, "reps": reps}, seed, reps,
+    return (
         {"automaton_rate": mean_a, "literal_rate": mean_l, **matches},
         {"automaton_rate": se_a, "literal_rate": se_l},
         [
@@ -334,26 +352,23 @@ def _exp_quad_rate(params, seed):
             {"name": "claimed_rate", "value": GAMMA_RATE_QUAD_CLAIMED,
              "provenance": "reference-constant"},
         ],
-        passed=matches["automaton_vs_1_5"],
+        matches["automaton_vs_1_5"],
     )
 
 
-def _exp_typical_distance(params, seed):
-    sizes = [int(s) for s in params.get("sizes", [10**3, 10**4, 10**5])]
-    reps = int(params.get("reps", 30))
-    ratios = {}
-    ses = {}
-    for si, n in enumerate(sizes):
-        vals = []
-        for r in range(reps):
-            rng = rng_from_seed(seed, si * 10**6 + r)
-            off = trees_mod.sample_increasing_tree(3, n, rng).offspring()
-            graph = maps_mod.csr_from_offspring(off, maps_mod.TRIANGULATION)
-            nb = maps_mod._N_BOUNDARY[maps_mod.TRIANGULATION]
-            ids = rng.integers(nb, len(graph[0]) - 1, size=2)
-            d = int(maps_mod.bfs_distances_from(graph, int(ids[0]))[int(ids[1])])
-            vals.append(d / ((6.0 / 11.0) * log(n)))
-        ratios[str(n)], ses[str(n)] = _mean_se(vals)
+def _distance_ratio(n, rng) -> float:
+    """Distance between two uniform internal vertices of a growth-law
+    triangulation, over (6/11)·log n."""
+    off = trees_mod.sample_increasing_tree(3, n, rng).offspring()
+    graph = maps_mod.csr_from_offspring(off, maps_mod.TRIANGULATION)
+    nb = maps_mod._N_BOUNDARY[maps_mod.TRIANGULATION]
+    ids = rng.integers(nb, len(graph[0]) - 1, size=2)
+    d = int(maps_mod.bfs_distances_from(graph, int(ids[0]))[int(ids[1])])
+    return d / ((6.0 / 11.0) * log(n))
+
+
+def _typical_distance(seed, sizes, reps):
+    ratios, ses = _sized_replicas(_distance_ratio, seed, sizes, reps)
     ordered = [ratios[str(n)] for n in sizes]
     spread = [ses[str(n)] for n in sizes]
     # monotone trend up to Monte-Carlo noise: allow two combined standard
@@ -364,25 +379,19 @@ def _exp_typical_distance(params, seed):
         for i in range(len(ordered) - 1)
     )
     final_ok = 0.7 <= ordered[-1] <= 1.2
-    return ExperimentReport(
-        "typical-distance", {"sizes": sizes, "reps": reps}, seed, reps,
+    return (
         {"ratio": ratios, "monotone_toward_1": toward_one, "final_in_band": final_ok},
         {"ratio": ses},
         [{"name": "normalization", "value": 6.0 / 11.0, "provenance": "analytic-renewal"}],
-        passed=toward_one and final_ok,
+        toward_one and final_ok,
     )
 
 
-def _exp_depth(arity, name, params, seed):
-    n = int(params.get("n", 10**5))
-    reps = int(params.get("reps", 30))
-    window = int(params.get("window", 3000))
-    all_means = []
-    for r in range(reps):
-        rng = rng_from_seed(seed, r)
-        depths = trees_mod.sample_increasing_tree(arity, n, rng).depths()
-        all_means.append(float(np.mean(depths[max(n - window, 0):])))
-    mean, se = _mean_se(all_means)
+def _depth(arity, seed, n, reps, window):
+    mean, se = _mean_se(_replicas(
+        lambda rng: float(np.mean(
+            trees_mod.sample_increasing_tree(arity, n, rng).depths()[max(n - window, 0):])),
+        seed, reps))
     if arity == 3:
         refs = [{"name": "centering", "value": 1.5 * log(n), "provenance": "analytic-clt"}]
         ratio = mean / (1.5 * log(n))
@@ -400,78 +409,52 @@ def _exp_depth(arity, name, params, seed):
             {"name": "4_ln_n", "value": 4 * log(n), "provenance": "reference-constant"},
         ]
         passed = None  # reported, not asserted: conflicting reference constants
-    return ExperimentReport(
-        name, {"n": n, "reps": reps, "window": window}, seed, reps,
-        est, {"mean_depth": se}, refs, passed=passed,
-    )
+    return est, {"mean_depth": se}, refs, passed
 
 
-def _exp_radius_scaling(params, seed):
-    sizes = [int(s) for s in params.get("sizes", [2500, 10**4])]
-    reps = int(params.get("reps", 200))
-    means = {}
-    ses = {}
-    for si, n in enumerate(sizes):
-        vals = []
-        for r in range(reps):
-            rng = rng_from_seed(seed, si * 10**6 + r)
-            off = trees_mod.sample_offspring_sequence(3, n, rng)
-            graph = maps_mod.csr_from_offspring(off, maps_mod.TRIANGULATION)
-            vals.append(int(maps_mod.bfs_distances_from(graph, 0).max()))
-        means[str(n)], ses[str(n)] = _mean_se(vals)
+def _root_radius(n, rng) -> int:
+    off = trees_mod.sample_offspring_sequence(3, n, rng)
+    graph = maps_mod.csr_from_offspring(off, maps_mod.TRIANGULATION)
+    return int(maps_mod.bfs_distances_from(graph, 0).max())
+
+
+def _radius_scaling(seed, sizes, reps):
+    means, ses = _sized_replicas(_root_radius, seed, sizes, reps)
     ratio = means[str(sizes[-1])] / means[str(sizes[0])]
-    lo, hi = params.get("band", (1.8, 2.2))
-    return ExperimentReport(
-        "radius-scaling", {"sizes": sizes, "reps": reps}, seed, reps,
+    lo, hi = RADIUS_RATIO_BAND
+    return (
         {"mean_radius": means, "ratio": ratio},
         {"mean_radius": ses},
         [{"name": "sqrt_scaling", "value": math.sqrt(sizes[-1] / sizes[0]),
           "provenance": "analytic-scaling"}],
-        passed=lo <= ratio <= hi,
+        lo <= ratio <= hi,
     )
 
 
-def _uniform_internal_pick(offspring: np.ndarray, rng) -> int:
-    internal = np.flatnonzero(offspring)
-    return int(internal[rng.integers(len(internal))])
-
-
-def _exp_degree_uniform(params, seed):
-    n = int(params.get("n", 2000))
-    reps = int(params.get("reps", 10**5))
+def _degree_uniform(seed, n, reps):
     emp = EmpiricalPMF()
-    rng = rng_from_seed(seed)
-    for _ in range(reps):
-        off = trees_mod.sample_offspring_sequence(3, n, rng)
-        i = _uniform_internal_pick(off, rng)
+    for off, i in _fringe_samples(seed, n, reps):
         emp.add(degree_from_offspring(off, i, maps_mod.TRIANGULATION) - 3)
     p = emp.chisquare_pvalue(pmf_limit_deg_uniform)
-    return ExperimentReport(
-        "degree-uniform", {"n": n, "reps": reps}, seed, reps,
+    return (
         {"chi2_pvalue": p, "mean_degree": 3 + sum(k * c for k, c in emp.counts.items()) / reps,
          "histogram": {str(k): emp.counts[k] for k in sorted(emp.counts)}},
         {},
         [{"name": "pmf", "value": "limit_deg_uniform", "provenance": "analytic-formula"}],
-        passed=p > 0.01,
+        p > 0.01,
     )
 
 
-def _exp_subtree_size(params, seed):
+def _subtree_size(seed, n, reps, kmax):
     """Fringe-subtree sizes versus their limit law.
 
     The limit holds pointwise for fixed k; sizes comparable to n (including
     the 1/n atom at the full tree) deviate for every finite n, so the fit
     is restricted to k <= kmax with both laws renormalized.
     """
-    n = int(params.get("n", 3000))
-    reps = int(params.get("reps", 10**5))
-    kmax = int(params.get("kmax", 50))
     emp = EmpiricalPMF()
     dropped = 0
-    rng = rng_from_seed(seed)
-    for _ in range(reps):
-        off = trees_mod.sample_offspring_sequence(3, n, rng)
-        i = _uniform_internal_pick(off, rng)
+    for off, i in _fringe_samples(seed, n, reps):
         k = (trees_mod._subtree_end(off, i) - i - 1) // 3
         if k <= kmax:
             emp.add(k)
@@ -481,12 +464,11 @@ def _exp_subtree_size(params, seed):
     p = emp.chisquare_pvalue(
         lambda k: pmf_subtree_size(k) / mass if k <= kmax else 0.0, support_start=1
     )
-    return ExperimentReport(
-        "subtree-size", {"n": n, "reps": reps, "kmax": kmax}, seed, reps,
+    return (
         {"chi2_pvalue": p, "dropped_beyond_kmax": dropped},
         {},
         [{"name": "pmf", "value": "subtree_size", "provenance": "analytic-formula"}],
-        passed=p > 0.01,
+        p > 0.01,
     )
 
 
@@ -496,19 +478,33 @@ def degree_from_offspring(offspring, i: int, family: str) -> int:
     return maps_mod._degree(offspring, i, family)
 
 
+#: name -> (measure, defaults).  ``measure(seed, **params)`` returns
+#: (estimates, stderrs, references, passed); ``defaults`` declares every
+#: parameter the experiment takes, and the report echoes them all.
 EXPERIMENTS = {
-    "gamma-rate": _exp_gamma_rate,
-    "quad-rate": _exp_quad_rate,
-    "typical-distance": _exp_typical_distance,
-    "tri-depth": lambda p, s: _exp_depth(3, "tri-depth", p, s),
-    "bin-depth": lambda p, s: _exp_depth(2, "bin-depth", p, s),
-    "radius-scaling": _exp_radius_scaling,
-    "degree-uniform": _exp_degree_uniform,
-    "subtree-size": _exp_subtree_size,
+    "gamma-rate": (_gamma_rate, {"n": 10**6, "reps": 30}),
+    "quad-rate": (_quad_rate, {"n": 10**6, "reps": 10}),
+    "typical-distance": (_typical_distance, {"sizes": [10**3, 10**4, 10**5], "reps": 30}),
+    "tri-depth": (partial(_depth, 3), {"n": 10**5, "reps": 30, "window": 3000}),
+    "bin-depth": (partial(_depth, 2), {"n": 10**5, "reps": 30, "window": 3000}),
+    "radius-scaling": (_radius_scaling, {"sizes": [2500, 10**4], "reps": 200}),
+    "degree-uniform": (_degree_uniform, {"n": 2000, "reps": 10**5}),
+    "subtree-size": (_subtree_size, {"n": 3000, "reps": 10**5, "kmax": 50}),
 }
 
 
 def run_experiment(name: str, params: dict | None = None, seed: int = 0) -> ExperimentReport:
+    """Run a registry experiment with ``params`` over its defaults:
+    KeyError on an unknown experiment, ValueError on a parameter that the
+    experiment does not declare."""
     if name not in EXPERIMENTS:
         raise KeyError(f"unknown experiment {name!r}; known: {sorted(EXPERIMENTS)}")
-    return EXPERIMENTS[name](params or {}, seed)
+    measure, defaults = EXPERIMENTS[name]
+    params = params or {}
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ValueError(f"{name} takes no parameter {', '.join(unknown)}; "
+                         f"accepted: {', '.join(defaults)}")
+    resolved = {k: [int(s) for s in v] if k == "sizes" else int(v)
+                for k, v in {**defaults, **params}.items()}
+    return ExperimentReport(name, resolved, seed, resolved["reps"], *measure(seed, **resolved))

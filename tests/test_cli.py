@@ -142,6 +142,9 @@ def test_stats_rejects_bad_sizes(args, capsys):
     (["ball", "--r", "31"], "r"),
     (["stats", "--experiment", "tri-depth", "--n", "1000001"], "n"),
     (["stats", "--experiment", "gamma-rate", "--reps", "1000001"], "reps"),
+    (["verify", "--max-exhaustive", "-1"], "max-exhaustive"),
+    (["verify", "--max-exhaustive", "1"], "max-exhaustive"),
+    (["verify", "--max-exhaustive", "8"], "max-exhaustive"),
 ])
 def test_flags_out_of_range_exit_1(args, flag, capsys):
     assert main(args) == 1

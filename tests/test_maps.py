@@ -147,10 +147,10 @@ def test_word_of_reads_the_child_table(monkeypatch):
 
     monkeypatch.setattr(OrderedTree, "internal_indices", listing)
     assert [m.word_of(v) for v in range(m.n_boundary, m.n_vertices)] == words
-    with pytest.raises(ValueError):
-        m.word_of(m.n_boundary - 1)
-    with pytest.raises(IndexError):
-        m.word_of(m.n_vertices)
+    for vid in (-1, m.n_boundary - 1, m.n_vertices):
+        with pytest.raises(ValueError, match=f"vertex {vid} is not an internal vertex "
+                                             f"{m.n_boundary}..{m.n_vertices - 1}"):
+            m.word_of(vid)
 
 
 @pytest.mark.parametrize("family, arity", [(TRIANGULATION, 3), (QUADRANGULATION, 2)])

@@ -1,5 +1,6 @@
 """Degree laws, urn model, experiment harness."""
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -10,6 +11,7 @@ from stackmaps.maps import TRIANGULATION, map_from_tree
 from stackmaps.stats import (
     GAMMA_RATE_QUAD_DERIVED,
     GAMMA_RATE_TRI,
+    EXPERIMENTS,
     EmpiricalPMF,
     ExperimentReport,
     degree_from_offspring,
@@ -208,3 +210,75 @@ def test_experiments_deterministic():
 def test_unknown_experiment():
     with pytest.raises(KeyError):
         run_experiment("no-such-experiment", {}, 0)
+
+
+# small parameters for every registry experiment; the digests of their
+# reports pin the output bytes and the RNG streams
+GOLDEN_PARAMS = {
+    "gamma-rate": {"n": 1000, "reps": 3},
+    "quad-rate": {"n": 1000, "reps": 3},
+    "typical-distance": {"sizes": [100, 300], "reps": 3},
+    "tri-depth": {"n": 500, "reps": 3, "window": 100},
+    "bin-depth": {"n": 500, "reps": 3, "window": 100},
+    "radius-scaling": {"sizes": [100, 400], "reps": 3},
+    "degree-uniform": {"n": 200, "reps": 300},
+    "subtree-size": {"n": 300, "reps": 300, "kmax": 10},
+}
+
+# sha256 of (to_json(), to_csv())
+GOLDEN_DIGESTS = {
+    ("gamma-rate", 0): ("daeff8af8d5110b9f1d7bb1e6696a09d093c5855596a7bc43048b5201ae451e8",
+                        "e96a9936768c4f0e03065b814781a974e8a58f04f4d545616323c96a5f804cf2"),
+    ("gamma-rate", 7): ("ea2c6bbd283800447e20876293d2f67e04ddd78e49c92dfaed9dc43f04872ee7",
+                        "555d71cdfecc3cf1d34e3f13d20ec96c0f086b8125b3869455687fcace343fd4"),
+    ("quad-rate", 0): ("bdef63c838fe4d343a098763c2ab90425606a99bea94062bc4cbf51ea0450a27",
+                       "01f2b48780b4b4a70cf4c54a7256af4dc0432f84c85a107f0231e3c5339025d4"),
+    ("quad-rate", 7): ("d8488444b321dd3e88e1a961e1ef3f7cc77747f109d84053b6722f84c6787722",
+                       "83039842d7a71abf53090313cab7fbd24f5b4f80aef5ce21b4ef7cb966816a4f"),
+    ("typical-distance", 0): ("77131461eef35b92d365a76521cd6741989eb3083d738efb637b9afd9318668f",
+                              "2b7139d76fcb9cc179386e295c394382ec01e578c014cce85b8a3fe8b104c015"),
+    ("typical-distance", 7): ("97d9e2e51055d1ac3e2c61b4705314d1aad4fdddb03061ccd013bf5b9c960d4e",
+                              "72eb8e71dc87b66160f7d2ae1f58898f9352261e7efa600bcc5fcc28b668e5f7"),
+    ("tri-depth", 0): ("7b25451f4a2222e3c66c33ced413206a8e1fd7c5043f31cce8572a80f8bc676e",
+                       "4bf79044e771568914ab7a5468a88f7dbefa2ff22af654ad42e84b859edd93d2"),
+    ("tri-depth", 7): ("9ee829955a53a9162770dedf40d461813216cb8bb6ada2f4385e7a2b15f03a58",
+                       "25c18ba9e9b007fc35d88142e14db3d8fe572895718ff1649c51e77fcaaec9d4"),
+    ("bin-depth", 0): ("4516f47a9934972c4876619ec263d104cd0851e1d86f11058fe173d10d7a3be6",
+                       "d1d5b4430ae865174ba69cc61c5c681a8ee5e04f277989c69895702d5e93a56e"),
+    ("bin-depth", 7): ("75811e4714015d44fe4d07271fde51a83a854f1d63822738141b9f79f6f617b2",
+                       "29097f1195e22dd42ede7ea524af1651193594445c1f4e229d9a29e160f08394"),
+    ("radius-scaling", 0): ("c36d52d9e8c7f97b7837c4b8d3f37889787a16b6e118befb70304824f4ea328a",
+                            "93b922b3d57be287f53937c4745ff327cba0ea5c01e91c35a456a149bb989adb"),
+    ("radius-scaling", 7): ("00938dead1bc6f182b78aa910c3c71702703210e337d16bc477e4df275999887",
+                            "d1b00be9b5f0fb318fa6430b36880ab86e8d4d49f271dcd7708af86029f74038"),
+    ("degree-uniform", 0): ("ec709f224272d6188c69c1e0086abfbe1a35ebb5806a847461207f4ae97aed97",
+                            "86347b41bab891e0260c8d3efbec95a371fa6dd6775f57badd9167f944ecbc25"),
+    ("degree-uniform", 7): ("f9a8c3d5d0b9ee701d9f69ec1ecfb0df1133b373a64191190e788d4a71fd3074",
+                            "412057fdc475b3e3290ee1c7d5a6c85940b6f8ef0e9a5058f51f79f08dd87ba8"),
+    ("subtree-size", 0): ("f7f2bb8225431fcd41fba325f448ef1efb57d8591f943717ad647a8ef9b9757d",
+                          "29a37d64fc9e3ea190d40d6c4ccb01879c477618eb929f5a9400556d307b8882"),
+    ("subtree-size", 7): ("d51b778925458869e0fdd3b5cdd299e19716b61b88cb9b4798df1f889af14551",
+                          "ecb2d1a9c5100ba8531ce10e9366eea314db567059201b24b3c0a3707f0ea4fb"),
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(GOLDEN_DIGESTS))
+def test_experiment_reports_match_golden_digests(name, seed):
+    rep = run_experiment(name, dict(GOLDEN_PARAMS[name]), seed)
+    digests = tuple(hashlib.sha256(s.encode()).hexdigest() for s in (rep.to_json(), rep.to_csv()))
+    assert digests == GOLDEN_DIGESTS[name, seed]
+
+
+def test_golden_params_cover_the_registry():
+    assert set(GOLDEN_PARAMS) == set(EXPERIMENTS)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("gamma-rate", {"size": 10}),
+    ("typical-distance", {"n": 1000}),
+    ("gamma-rate", {"tol": 0.1}),
+])
+def test_unknown_parameter_rejected(name, params):
+    with pytest.raises(ValueError, match=f"{next(iter(params))}.*accepted"):
+        run_experiment(name, params, 0)
+
