@@ -37,6 +37,9 @@ FRAG_K_RANGE = (1, 10**5)
 BALL_R_RANGE = (1, 30)
 STATS_N_RANGE = (2, 10**6)
 STATS_REPS_RANGE = (1, 10**6)
+# count --n, --m: at 1000 every count prints in about 1 ms with at most 2867
+# digits, under Python's 4300-digit limit for int-to-str
+COUNT_RANGE = (0, 1000)
 # verify --max-exhaustive mx: the pair-bound check runs sizes 2..mx, and the
 # histories check enumerates trees of size mx + 1
 MAX_EXHAUSTIVE_RANGE = (2, trees.DEFAULT_EXHAUSTIVE_BOUND - 1)
@@ -97,11 +100,19 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_count(args) -> int:
+    _check_range("n", args.n, COUNT_RANGE)
+    if args.m is not None and args.what != "forests":
+        raise ValueError(f"--m counts forest roots; --what {args.what} takes no --m")
     if args.what == "trees":
         val = counting.count_trees(ARITY[args.family], args.n)
     elif args.what == "forests":
-        val = counting.count_forests(ARITY[args.family], args.m, args.n)
+        m = 1 if args.m is None else args.m
+        _check_range("m", m, COUNT_RANGE)
+        val = counting.count_forests(ARITY[args.family], m, args.n)
     else:
+        if args.family != "tri":
+            raise ValueError("--what histories counts stack-triangulation histories; "
+                             "it takes only --family tri")
         val = counting.histories_total(args.n)
     _emit(str(val), args.out)
     return 0
@@ -181,70 +192,63 @@ def cmd_verify(args) -> int:
     return 2 if failed else 0
 
 
+# flags shared by several subcommands; each subcommand names the ones its
+# handler reads
+_SHARED = {
+    "family": dict(choices=("tri", "quad"), default="tri"),
+    "seed": dict(type=int, default=None),
+    "out": dict(default=None),
+    "law": dict(choices=("uniform", "growth"), default="uniform"),
+}
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="stackmaps", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def common(sp, law=True):
-        sp.add_argument("--family", choices=("tri", "quad"), default="tri")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--out", default=None)
-        if law:
-            sp.add_argument("--law", choices=("uniform", "growth"), default="uniform")
+    def add(name, fn, help, shared, **defaults):
+        sp = sub.add_parser(name, help=help)
+        for flag in shared:
+            sp.add_argument(f"--{flag}", **_SHARED[flag])
+        sp.set_defaults(fn=fn, **defaults)
+        return sp
 
-    sp = sub.add_parser("sample", help="sample a random stack-map")
-    common(sp)
+    sp = add("sample", cmd_sample, "sample a random stack-map", ("family", "seed", "out", "law"))
     sp.add_argument("--size", type=int, required=True)
     sp.add_argument("--format", choices=("json", "svg"), default="json")
-    sp.set_defaults(fn=cmd_sample)
 
-    sp = sub.add_parser("enumerate", help="list all trees of a given size")
-    common(sp, law=False)
+    sp = add("enumerate", cmd_enumerate, "list all trees of a given size", ("family", "out"))
     sp.add_argument("--size", type=int, required=True)
-    sp.set_defaults(fn=cmd_enumerate)
 
-    sp = sub.add_parser("count", help="exact counting formulas")
-    common(sp, law=False)
+    sp = add("count", cmd_count, "exact counting formulas", ("family", "out"))
     sp.add_argument("--what", choices=("trees", "forests", "histories"), required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--m", type=int, default=1)
-    sp.set_defaults(fn=cmd_count)
+    sp.add_argument("--m", type=int, default=None, help="forest roots (default 1)")
 
-    sp = sub.add_parser("verify", help="run the invariant suites")
+    sp = add("verify", cmd_verify, "run the invariant suites", ())
     sp.add_argument("--level", choices=("quick", "full"), default="quick")
     sp.add_argument("--max-exhaustive", type=int, default=4)
-    sp.set_defaults(fn=cmd_verify)
 
-    sp = sub.add_parser("stats", help="Monte-Carlo experiments")
-    common(sp, law=False)
+    sp = add("stats", cmd_stats, "Monte-Carlo experiments", ("seed", "out"))
     sp.add_argument("--experiment", required=True, choices=sorted(stats.EXPERIMENTS))
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--reps", type=int, default=None)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.set_defaults(fn=cmd_stats)
 
-    sp = sub.add_parser("draw", help="SVG drawing of a sampled map")
-    common(sp)
+    sp = add("draw", cmd_sample, "SVG drawing of a sampled map",
+             ("family", "seed", "out", "law"), format="svg")
     sp.add_argument("--size", type=int, required=True)
-    sp.set_defaults(fn=cmd_sample, format="svg")
 
-    sp = sub.add_parser("frag", help="sample a fragmentation tree")
-    common(sp, law=False)
+    sp = add("frag", cmd_frag, "sample a fragmentation tree", ("seed", "out"))
     sp.add_argument("--arity", type=int, choices=(2, 3), default=3)
     sp.add_argument("--k", type=int, required=True)
-    sp.set_defaults(fn=cmd_frag)
 
-    sp = sub.add_parser("ball", help="finite ball of the local-limit map")
-    common(sp, law=False)
+    sp = add("ball", cmd_ball, "finite ball of the local-limit map", ("family", "seed", "out"))
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--format", choices=("json", "svg"), default="json")
-    sp.set_defaults(fn=cmd_ball)
 
-    sp = sub.add_parser("passage", help="evaluate passage statistics of a word")
-    common(sp, law=False)
-    sp.add_argument("action", nargs="?", default="eval", choices=("eval",))
+    sp = add("passage", cmd_passage, "evaluate passage statistics of a word", ("family", "out"))
     sp.add_argument("--word", required=True)
-    sp.set_defaults(fn=cmd_passage)
 
     return p
 

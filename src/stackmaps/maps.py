@@ -68,7 +68,10 @@ class StackMap:
     the API boundary (``word_of``, ``vertex_of``, ``leaf_faces``, ``grow``).
     """
 
-    __slots__ = ("family", "tree", "adjacency", "root_edge")
+    __slots__ = ("family", "tree", "adjacency")
+
+    #: the root vertex and the next boundary vertex, in every map
+    root_edge = (0, 1)
 
     def __init__(self, family: str, tree: OrderedTree | None = None):
         if family not in _ARITY:
@@ -81,7 +84,6 @@ class StackMap:
         self.family = family
         self.tree = tree
         self.adjacency: list[list[int]] = adjacency_from_offspring(tree.offspring, family)
-        self.root_edge = (0, 1)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -153,9 +155,6 @@ class StackMap:
         )
         return {
             "family": self.family,
-            "vertices": [
-                {"id": i, "birth": i} for i in range(self.n_vertices)
-            ],
             "root_edge": list(self.root_edge),
             "edges": [list(e) for e in edges],
             "tree": self.tree.to_parens(),
@@ -631,7 +630,10 @@ def canonical_drawing(m: StackMap) -> dict[int, tuple[float, float]]:
     return pos
 
 
-def to_svg(m: StackMap, size: int = 600) -> str:
+SVG_SIZE = 600  # width and height of the SVG viewBox
+
+
+def to_svg(m: StackMap) -> str:
     """Straight-line SVG rendering of the canonical drawing; the root edge
     is highlighted."""
     pos = canonical_drawing(m)
@@ -639,10 +641,11 @@ def to_svg(m: StackMap, size: int = 600) -> str:
 
     def xy(v):
         x, y = pos[v]
-        return ((x + pad) / (1 + 2 * pad) * size, size - (y + pad) / (1 + 2 * pad) * size)
+        return ((x + pad) / (1 + 2 * pad) * SVG_SIZE,
+                SVG_SIZE - (y + pad) / (1 + 2 * pad) * SVG_SIZE)
 
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {size} {size}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
     ]
     for u, nbrs in enumerate(m.adjacency):
         for v in nbrs:

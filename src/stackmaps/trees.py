@@ -212,10 +212,15 @@ class OrderedTree:
 
     @classmethod
     def from_internal_words(cls, arity: int, internal) -> "OrderedTree":
+        """The tree with the given internal-node words; ValueError unless
+        the set is closed under parent and its letters lie in 1..arity."""
         internal_set = {tuple(w) for w in internal}
         for w in internal_set:
             if w and w[:-1] not in internal_set:
                 raise ValueError(f"internal set not closed under parent: {w}")
+            # every letter is the last of some word, since the set is closed
+            if w and not 1 <= w[-1] <= arity:
+                raise ValueError(f"internal word {w} has a letter outside 1..{arity}")
         return cls(arity, offspring_from_internal_words(arity, internal_set))
 
     @classmethod
@@ -280,17 +285,6 @@ class OrderedTree:
         if pending:
             raise ValueError("missing ')' in parenthesis string")
         return cls(arity, offspring)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "arity": self.arity,
-            "internal": ["".join(map(str, w)) for w in self.internal_words()],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "OrderedTree":
-        internal = [tuple(int(ch) for ch in s) for s in d["internal"]]
-        return cls.from_internal_words(d["arity"], internal)
 
 
 @dataclass
@@ -404,37 +398,29 @@ def offspring_from_internal_words(arity: int, internal) -> list[int]:
 
 def enumerate_trees(arity: int, n_internal: int, bound: int = DEFAULT_EXHAUSTIVE_BOUND):
     """All full trees of the given arity with exactly n_internal internal
-    nodes, each exactly once (lexicographic on offspring sequences)."""
+    nodes, each exactly once, in increasing lexicographic order of their
+    offspring sequences.
+
+    One depth-first pass over the prefixes of the offspring sequence tries
+    a leaf before an internal node, so the trees come out sorted; a prefix
+    is extended by a leaf only while it keeps an open slot for the internal
+    nodes still to place."""
+    if n_internal < 0:
+        raise ValueError(f"n_internal must be >= 0, got {n_internal}")
     if n_internal > bound:
         raise ValueError(f"n_internal={n_internal} exceeds exhaustive bound {bound}")
-
-    def seqs(n: int):
-        # offspring sequences of a single tree with n internal nodes
-        if n == 0:
-            yield (0,)
-            return
-        for parts in _compositions(n - 1, arity):
-            subtrees = [list(seqs(p)) for p in parts]
-            yield from _products(subtrees, (arity,))
-
-    return [OrderedTree(arity, s) for s in seqs(n_internal)]
-
-
-def _compositions(total: int, k: int):
-    if k == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, k - 1):
-            yield (first,) + rest
-
-
-def _products(choice_lists, prefix):
-    if not choice_lists:
-        yield prefix
-        return
-    for head in choice_lists[0]:
-        yield from _products(choice_lists[1:], prefix + head)
+    out = []
+    stack = [((), 0)]  # (prefix, its internal nodes); the top is extended next
+    while stack:
+        prefix, internal = stack.pop()
+        open_slots = 1 + arity * internal - len(prefix)
+        if internal == n_internal:  # only leaves are left to place
+            out.append(OrderedTree(arity, prefix + (0,) * open_slots))
+            continue
+        stack.append((prefix + (arity,), internal + 1))
+        if open_slots > 1:
+            stack.append((prefix + (0,), internal))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -2,24 +2,29 @@
 
 import functools
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import stackmaps
 from stackmaps import localtopo
 from stackmaps.cli import main
 
 CLI = [sys.executable, "-m", "stackmaps.cli"]
+# subprocesses import the stackmaps this test run imported, installed or not
+SRC = os.path.dirname(os.path.dirname(stackmaps.__file__))
+
+
+def subprocess_env(extra=None) -> dict:
+    env = dict(os.environ, **(extra or {}))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
 
 
 def run_cli(args, env=None):
-    import os
-
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
-    return subprocess.run(CLI + args, capture_output=True, text=True, env=full_env)
+    return subprocess.run(CLI + args, capture_output=True, text=True, env=subprocess_env(env))
 
 
 def test_sample_byte_identical():
@@ -76,11 +81,51 @@ def test_enumerate_size_is_bounded():
     assert r.stdout == ""
 
 
+def test_enumerate_negative_size_exits_1(capsys):
+    assert main(["enumerate", "--size", "-1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: n_internal must be >= 0, got -1\n"
+
+
 def test_count():
     r = run_cli(["count", "--what", "trees", "--family", "tri", "--n", "5"])
     assert r.stdout.strip() == "273"
     r = run_cli(["count", "--what", "histories", "--n", "3"])
     assert r.stdout.strip() == "15"
+
+
+def test_count_forests_default_one_root(capsys):
+    # --m defaults to 1 for forests: one tree with 3 internal nodes
+    assert main(["count", "--what", "forests", "--n", "10"]) == 0
+    assert main(["count", "--what", "forests", "--n", "10", "--m", "1"]) == 0
+    assert capsys.readouterr().out == "12\n12\n"
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as e:  # argparse rejects the command line
+        return e.code
+
+
+@pytest.mark.parametrize("args", [
+    ["stats", "--family", "quad", "--experiment", "gamma-rate", "--n", "1000", "--reps", "2"],
+    ["frag", "--family", "quad", "--k", "4"],
+    ["enumerate", "--seed", "1", "--size", "2"],
+    ["count", "--seed", "1", "--what", "trees", "--n", "4"],
+    ["passage", "--seed", "1", "--word", "123"],
+    ["passage", "eval", "--word", "123"],
+    ["count", "--what", "histories", "--family", "quad", "--n", "4"],
+    ["count", "--what", "trees", "--n", "4", "--m", "7"],
+], ids=["stats-family", "frag-family", "enumerate-seed", "count-seed", "passage-seed",
+        "passage-eval", "count-quad-histories", "count-m-without-forests"])
+def test_unread_flag_values_refused(args, capsys):
+    # each subcommand takes only the flags its handler reads
+    assert _exit_code(args) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: " in err
 
 
 def test_usage_error_exit_1():
@@ -145,6 +190,11 @@ def test_stats_rejects_bad_sizes(args, capsys):
     (["verify", "--max-exhaustive", "-1"], "max-exhaustive"),
     (["verify", "--max-exhaustive", "1"], "max-exhaustive"),
     (["verify", "--max-exhaustive", "8"], "max-exhaustive"),
+    (["count", "--what", "trees", "--n", "-1"], "n"),
+    (["count", "--what", "trees", "--n", "6000"], "n"),
+    (["count", "--what", "histories", "--n", "200000"], "n"),
+    (["count", "--what", "forests", "--n", "4", "--m", "-1"], "m"),
+    (["count", "--what", "forests", "--n", "4", "--m", "1001"], "m"),
 ])
 def test_flags_out_of_range_exit_1(args, flag, capsys):
     assert main(args) == 1
@@ -167,7 +217,8 @@ def test_ball_over_node_cap_exits_1(monkeypatch, capsys):
 def test_cli_import_loads_no_scipy():
     code = ("import sys, stackmaps.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=subprocess_env())
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
 
@@ -177,7 +228,8 @@ def test_chisquare_experiment_loads_no_scipy_stats():
     code = ("import sys; from stackmaps.cli import main; "
             "main(['stats', '--experiment', 'degree-uniform', '--n', '200', '--reps', '40']); "
             "print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.special'))))")
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=subprocess_env())
     assert r.returncode == 0, r.stderr
     report, modules = r.stdout.splitlines()
     assert json.loads(report)["estimates"]["chi2_pvalue"] > 0

@@ -453,6 +453,14 @@ def test_json_roundtrip():
     assert m2.adjacency == m.adjacency
 
 
+def test_json_fields():
+    for family, arity in [(TRIANGULATION, 3), (QUADRANGULATION, 2)]:
+        m = map_from_tree(OrderedTree.from_internal_words(arity, [(), (1,)]), family)
+        d = m.to_json_dict()
+        assert sorted(d) == ["edges", "family", "root_edge", "tree"]
+        assert d["root_edge"] == [0, 1] and len(d["edges"]) == m.n_edges
+
+
 @pytest.mark.parametrize("tree", ["(o)oo", "(ooo", "o)))", ")(ooo", "", "(ooo)o"])
 def test_from_json_rejects_bad_tree_strings(tree):
     with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stackmaps.counting import count_trees
 from stackmaps.trees import (
     CapExceeded,
     IncreasingTree,
@@ -152,6 +153,20 @@ def test_from_internal_words_rejects_unclosed():
         OrderedTree.from_internal_words(3, {(1, 1)})
 
 
+@pytest.mark.parametrize("arity, good, bad", [
+    (3, [()], [(5,), (0,)]),
+    (3, [()], [(4,)]),
+    (2, [()], [(3,)]),
+    (2, [(), (1,)], [(1, 0)]),
+    (3, [(), (2,)], [(2, -1)]),
+])
+def test_from_internal_words_rejects_letters_outside_alphabet(arity, good, bad):
+    # these words used to be dropped, leaving a smaller tree
+    with pytest.raises(ValueError, match=f"outside 1..{arity}") as e:
+        OrderedTree.from_internal_words(arity, good + bad)
+    assert any(f"word {w} " in str(e.value) for w in bad)
+
+
 def test_offspring_from_internal_words_iterative_deep():
     # a path of depth 5000 would blow the recursion limit if done recursively
     chain = {tuple([1] * d) for d in range(5000)}
@@ -187,11 +202,6 @@ def test_from_parens_accepts_exactly_to_parens(arity, max_len):
                     OrderedTree.from_parens(arity, s)
 
 
-def test_json_roundtrip():
-    t = OrderedTree(2, [2, 0, 2, 0, 0])
-    assert OrderedTree.from_json_dict(t.to_json_dict()) == t
-
-
 def test_is_valid_tree():
     assert is_valid_tree([(), (1,), (2,), (3,)], 3)
     assert is_valid_tree([()], 3)
@@ -210,6 +220,16 @@ def test_lca_and_tree_distance():
 def test_enumerate_trees_counts():
     assert [len(enumerate_trees(3, n)) for n in range(5)] == [1, 1, 3, 12, 55]
     assert [len(enumerate_trees(2, n)) for n in range(6)] == [1, 1, 2, 5, 14, 42]
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_enumerate_trees_sorted_and_counted(arity):
+    for n in range(7):
+        seqs = [t.offspring for t in enumerate_trees(arity, n)]
+        assert all(a < b for a, b in zip(seqs, seqs[1:]))  # strictly increasing
+        assert len(seqs) == count_trees(arity, n)
+    with pytest.raises(ValueError, match="must be >= 0"):
+        enumerate_trees(arity, -1)
 
 
 def test_enumerate_trees_distinct_and_valid():
