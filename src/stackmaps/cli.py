@@ -154,6 +154,9 @@ def cmd_ball(args) -> int:
 
 
 def cmd_passage(args) -> int:
+    k = ARITY[args.family]
+    if set(args.word) - set("123"[:k]):
+        raise ValueError(f"--word must be a string of letters 1..{k}, got {args.word!r}")
     word = tuple(int(c) for c in args.word)
     if args.family == "tri":
         info = {

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .counting import histories_total
-from .trees import OrderedTree, Word
+from .trees import IncreasingTree, OrderedTree, Word
 
 
 @dataclass
@@ -38,7 +38,9 @@ class FragmentationTree:
         return sorted(w for w in self.interval if w not in self.splits)
 
     def shape(self) -> OrderedTree:
-        return OrderedTree.from_internal_words(self.arity, self.splits.keys())
+        # a fragment is split only after its parent, so ``splits`` is in
+        # insertion order
+        return IncreasingTree.from_skeleton(self.arity, self.splits).shape()
 
     def split_leaf(self, w: Word, proportions) -> None:
         if w in self.splits:

@@ -191,16 +191,9 @@ def grow(m: StackMap, face: Word) -> StackMap:
 def map_from_history(history, family: str) -> StackMap:
     """Map after inserting one vertex in each face of the history, in that
     order.  It depends only on the set of faces, so vertex ids follow the
-    preorder of the tree, not the insertion order."""
-    k = _ARITY[family]
-    done: set[Word] = set()
-    for face in map(tuple, history):
-        if face in done:
-            raise ValueError(f"face {face} was already subdivided")
-        if face and (face[:-1] not in done or not 1 <= face[-1] <= k):
-            raise ValueError(f"no face with word {face}")
-        done.add(face)
-    return StackMap(family, OrderedTree.from_internal_words(k, done))
+    preorder of the tree, not the insertion order.  ValueError as in
+    ``IncreasingTree.from_skeleton``."""
+    return StackMap(family, IncreasingTree.from_skeleton(_ARITY[family], history).shape())
 
 
 def map_from_tree(t: OrderedTree, family: str) -> StackMap:
@@ -476,7 +469,7 @@ def degree_via_tree(t: OrderedTree, u: Word, family: str) -> int:
     Triangulation: 3 plus the number of internal descendants u·w where w
     starts with some letter i and then avoids i.  Quadrangulation: 2 plus
     the number of internal descendants whose face still holds the vertex on
-    its active diagonal (position automaton in _quad_step; accepted words
+    its active diagonal (position automaton in _QUAD_DEGREE; accepted words
     are exactly {1,2} ∪ {1,2}{1,2}1({1,2}2)*).
     """
     u = tuple(u)
@@ -490,85 +483,69 @@ def degree_via_tree_literal_quad(t: OrderedTree, u: Word) -> int:
     """Variant counting descendants u·w with |w| >= 2 and w in {12,21}*;
     disagrees with the map degree (see tests), kept for comparison."""
     i = t.index_of(tuple(u))
-    return 2 + _count_accepted(t.offspring, i, 2, _quad_literal_step)
+    return 2 + _count_accepted(t.offspring, i, 2, _QUAD_LITERAL)
 
 
-def _quad_literal_step(state, letter):
-    # language {12,21}* restricted to length >= 2
-    if state is _START:
-        return (1, letter), False
-    parity, prev = state
-    if parity == 1:
-        if letter == prev:
-            return None, False
-        return (0, letter), True
-    return (1, letter), False
+# Word automata as transition tables (next, accept): state 0 is the start,
+# next[arity * state + letter - 1] is the state after reading the letter
+# (None: no extension is accepted), and accept[state] says whether a word
+# ending in that state is accepted.
 
+# language {12,21}* restricted to length >= 2.  States: 1 and 2 after an odd
+# length ending in that letter, 3 after an even length >= 2.
+_QUAD_LITERAL = ((1, 2, None, 3, 3, None, 1, 2), (False, False, False, True))
 
-_START = ("start",)
+# language: some first letter i, then letters avoiding i.  State i is the
+# first letter; every state past the start is accepting.
+_TRI_DEGREE = (
+    (1, 2, 3, None, 1, 1, 2, None, 2, 3, 3, None),
+    (False, True, True, True),
+)
 
+# A vertex born in face u sits at tuple position 2 of both children of u and
+# gains an edge exactly when a descendant face holding it at position 2 or 4
+# is subdivided.  State p is the position.  Position flow under subdivision:
+# 2 -> 1 (both letters), 1 -> 4 (letter 1 only), 4 -> 3 (both),
+# 3 -> 4 (letter 2 only); otherwise the vertex leaves the face.
+_QUAD_DEGREE = (
+    (2, 2, 4, None, 1, 1, None, 4, 3, 3),
+    (False, False, True, False, True),
+)
 
-def _tri_step(state, letter):
-    # language: some first letter i, then letters avoiding i.  State is the
-    # first letter; every live state past the start is accepting.
-    if state is _START:
-        return letter, True
-    if letter == state:
-        return None, False
-    return state, True
-
-
-def _quad_step(state, letter):
-    # A vertex born in face u sits at tuple position 2 of both children of
-    # u and gains an edge exactly when a descendant face holding it at
-    # position 2 or 4 is subdivided.  Position flow under subdivision:
-    # 2 -> 1 (both letters), 1 -> 4 (letter 1 only), 4 -> 3 (both),
-    # 3 -> 4 (letter 2 only); otherwise the vertex leaves the face.
-    if state is _START:
-        return 2, True
-    if state == 2:
-        return 1, False
-    if state == 1:
-        return (4, True) if letter == 1 else (None, False)
-    if state == 4:
-        return 3, False
-    return (4, True) if letter == 2 else (None, False)  # state == 3
-
-
-_DEGREE_STEP = {TRIANGULATION: _tri_step, QUADRANGULATION: _quad_step}
+_DEGREE_TABLE = {TRIANGULATION: _TRI_DEGREE, QUADRANGULATION: _QUAD_DEGREE}
 
 
 def _degree(offspring, i: int, family: str) -> int:
     """Map degree of the vertex of internal node i: the arity (its birth
     edges) plus the internal descendants the family's automaton accepts."""
     k = _ARITY[family]
-    return k + _count_accepted(offspring, i, k, _DEGREE_STEP[family])
+    return k + _count_accepted(offspring, i, k, _DEGREE_TABLE[family])
 
 
-def _count_accepted(offspring, i: int, arity: int, step) -> int:
+def _count_accepted(offspring, i: int, arity: int, table) -> int:
     """Count the internal strict descendants of node i whose connecting
-    word the incremental automaton ``step`` accepts, walking only the
-    subtree of i on the flat preorder offspring array.  A None next-state
-    skips the whole subtree (both languages are closed under removing
-    suffixes)."""
+    word the automaton ``table`` accepts, walking only the subtree of i on
+    the flat preorder offspring array.  A None next state is dead (no
+    extension of the word is accepted), so the walk skips that subtree."""
     if not offspring[i]:
         return 0  # a leaf: the walk below would read past its subtree
+    nxt, accept = table
     count = 0
     # stack of (state, children_left) per open ancestor inside the subtree
-    stack = [(_START, offspring[i])]
+    stack = [(0, offspring[i])]
     j = i
     while stack:
         j += 1
         state, left = stack[-1]
-        letter = arity - left + 1
         stack[-1] = (state, left - 1)
         c = offspring[j]
         if c:
-            new_state, accept = step(state, letter)
+            # the child's letter is arity - left + 1
+            new_state = nxt[arity * state + arity - left]
             if new_state is None:
                 j = _subtree_end(offspring, j) - 1
             else:
-                if accept:
+                if accept[new_state]:
                     count += 1
                 stack.append((new_state, c))
         while stack and stack[-1][1] == 0:

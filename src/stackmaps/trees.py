@@ -214,14 +214,7 @@ class OrderedTree:
     def from_internal_words(cls, arity: int, internal) -> "OrderedTree":
         """The tree with the given internal-node words; ValueError unless
         the set is closed under parent and its letters lie in 1..arity."""
-        internal_set = {tuple(w) for w in internal}
-        for w in internal_set:
-            if w and w[:-1] not in internal_set:
-                raise ValueError(f"internal set not closed under parent: {w}")
-            # every letter is the last of some word, since the set is closed
-            if w and not 1 <= w[-1] <= arity:
-                raise ValueError(f"internal word {w} has a letter outside 1..{arity}")
-        return cls(arity, offspring_from_internal_words(arity, internal_set))
+        return cls(arity, offspring_from_internal_words(arity, internal))
 
     @classmethod
     def single_leaf(cls, arity: int) -> "OrderedTree":
@@ -294,18 +287,43 @@ class IncreasingTree:
     Internal node k (k = 0..K-1) is the one inserted at step k, node 0
     being the root, so labels increase along branches.  ``slot[k] =
     arity * parent + letter - 1`` names the leaf it replaced, child
-    ``letter`` of internal node ``parent``; ``slot[0]`` is -1.  The word
-    views ``skeleton`` and ``labels`` are built on demand, for the API.
+    ``letter`` of internal node ``parent``; ``slot[0]`` is -1, and an empty
+    list is the single leaf.  The word views ``skeleton`` and ``labels`` are
+    built on demand, for the API, and ``from_skeleton`` is the one builder
+    from words.
     """
 
     arity: int
     slot: list[int]
 
+    @classmethod
+    def from_skeleton(cls, arity: int, words) -> "IncreasingTree":
+        """Inverse of ``skeleton``: the tree whose internal node k has word
+        ``words[k]``.  One pass in insertion order; ValueError on a repeated
+        word, a word whose parent is not before it, or a last letter outside
+        1..arity (every letter is a last one, since parents come first)."""
+        rank: dict[Word, int] = {}
+        slot: list[int] = []
+        for w in map(tuple, words):
+            if w in rank:
+                raise ValueError(f"internal word {w} is repeated")
+            if w:
+                parent = rank.get(w[:-1])
+                if parent is None:
+                    raise ValueError(f"internal word {w} has no parent before it")
+                if not 1 <= w[-1] <= arity:
+                    raise ValueError(f"internal word {w} has a letter outside 1..{arity}")
+                slot.append(arity * parent + w[-1] - 1)
+            else:
+                slot.append(-1)
+            rank[w] = len(rank)
+        return cls(arity, slot)
+
     @property
     def skeleton(self) -> list[Word]:
         """Internal-node words in insertion order: label(skeleton[k]) = k+1."""
         a = self.arity
-        out: list[Word] = [ROOT]
+        out: list[Word] = [ROOT] if self.slot else []
         for s in self.slot[1:]:
             out.append(out[s // a] + (s % a + 1,))
         return out
@@ -338,7 +356,7 @@ class IncreasingTree:
     def depths(self) -> list[int]:
         """Depths of the internal nodes in insertion order."""
         a = self.arity
-        depth = [0]
+        depth = [0] if self.slot else []
         for s in self.slot[1:]:
             depth.append(depth[s // a] + 1)
         return depth
@@ -375,21 +393,10 @@ def _subtree_end(offspring, i: int) -> int:
 
 def offspring_from_internal_words(arity: int, internal) -> list[int]:
     """Preorder offspring sequence of the full tree whose internal-node set
-    is given (iterative; handles 10^5+ nodes without recursion limits)."""
-    internal_set = {tuple(w) for w in internal}
-    if not internal_set:
-        return [0]
-    offspring: list[int] = []
-    stack: list[Word] = [ROOT]
-    while stack:
-        w = stack.pop()
-        if w in internal_set:
-            offspring.append(arity)
-            for i in range(arity, 0, -1):
-                stack.append(w + (i,))
-        else:
-            offspring.append(0)
-    return offspring
+    is given: the words, shortest first, are an insertion order, which
+    ``IncreasingTree.from_skeleton`` checks."""
+    words = sorted({tuple(w) for w in internal}, key=len)
+    return IncreasingTree.from_skeleton(arity, words).offspring()
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +467,9 @@ def sample_uniform_tree(arity: int, n_internal: int, rng) -> OrderedTree:
 
 
 def sample_increasing_tree(arity: int, K: int, rng) -> IncreasingTree:
-    """Leaf-growth tree: start from a single leaf and K-1 times replace a
-    uniformly chosen leaf by an internal node with ``arity`` children.
+    """Leaf-growth tree with K internal nodes: start from a single leaf and
+    K times replace a uniformly chosen leaf by an internal node with
+    ``arity`` children (K = 0 leaves the single leaf and draws nothing).
 
     The unlabeled shape follows the growth distribution (weight proportional
     to the number of increasing labelings).  Step k picks entry
@@ -470,8 +478,10 @@ def sample_increasing_tree(arity: int, K: int, rng) -> IncreasingTree:
     takes the last leaf, and the new node's children are appended in
     letter order.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    if K < 0:
+        raise ValueError("K must be >= 0")
+    if not K:
+        return IncreasingTree(arity, [])
     picks = rng.integers(0, 1 + (arity - 1) * np.arange(1, K), dtype=np.int64)
     slot = [-1]
     leaves = list(range(arity))

@@ -150,6 +150,27 @@ def test_passage_quad():
     assert d["gamma_prime_literal"] == 2
 
 
+@pytest.mark.parametrize("family, word, k", [
+    ("tri", "x1", 3), ("tri", "1 2", 3), ("tri", "4", 3), ("quad", "3", 2), ("quad", "12a", 2),
+])
+def test_passage_word_outside_alphabet_exits_1(family, word, k, capsys):
+    assert main(["passage", "--family", family, "--word", word]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --word must be a string of letters 1..{k}, got {word!r}\n"
+
+
+@pytest.mark.parametrize("cmd", ["sample", "draw"])
+@pytest.mark.parametrize("family", ["tri", "quad"])
+def test_growth_size_0_is_the_bare_face(cmd, family, capsys):
+    # zero insertions under either law leave the root face alone
+    args = [cmd, "--family", family, "--size", "0", "--seed", "3"]
+    assert main(args + ["--law", "growth"]) == 0
+    growth = capsys.readouterr()
+    assert main(args + ["--law", "uniform"]) == 0
+    assert growth == capsys.readouterr()
+
+
 def test_stats_csv_and_json():
     base = ["stats", "--experiment", "gamma-rate", "--n", "10000", "--reps", "2", "--seed", "3"]
     rj = run_cli(base)

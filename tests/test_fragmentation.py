@@ -107,8 +107,8 @@ def test_fragmentation_matches_growth_law_k3():
             sizes.append(sum(1 for w in internal if w[:1] == (i,)))
         return sizes[0] * 3 + sizes[1]  # k3 determined
 
-    # match internal-node counts: K splits give K internal nodes in the
-    # fragmentation shape versus K in the leaf-growth tree
+    # match internal-node counts: build_fragmentation_tree(3, K) makes K-1
+    # splits, so K = 4 gives 3 internal nodes, as does leaf growth with K = 3
     for r in range(reps):
         ft = build_fragmentation_tree(3, 4, rng_from_seed(100, r))
         frag.add(code(ft.shape()))

@@ -1,6 +1,7 @@
 """Stack-map construction, bijection with trees, distances and degrees."""
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
+from stackmaps import maps
 from stackmaps.maps import (
     QUADRANGULATION,
     TRIANGULATION,
@@ -315,6 +317,25 @@ def test_degree_literal_quad_on_leaves():
     # a leaf has no descendants: the walk must not read the nodes after it
     t = OrderedTree(2, [2, 0, 2, 0, 0])
     assert [degree_via_tree_literal_quad(t, w) for w in t.words()] == [2, 2, 2, 2, 2]
+
+
+@pytest.mark.parametrize("arity, table, language", [
+    (3, maps._TRI_DEGREE, r"1[23]*|2[13]*|3[12]*"),
+    (2, maps._QUAD_DEGREE, r"[12]|[12][12]1([12]2)*"),
+    (2, maps._QUAD_LITERAL, r"(12|21)+"),
+], ids=["tri", "quad", "quad-literal"])
+def test_degree_tables_accept_their_languages(arity, table, language):
+    # every node of every small tree: the walk counts exactly the internal
+    # strict descendants whose connecting word is in the language
+    for n in range(7 if arity == 3 else 9):
+        for t in enumerate_trees(arity, n):
+            words = t.words()
+            internal = [w for w, c in zip(words, t.offspring) if c]
+            for i, u in enumerate(words):
+                d = len(u)
+                expected = sum(1 for v in internal if len(v) > d and v[:d] == u
+                               and re.fullmatch(language, "".join(map(str, v[d:]))))
+                assert maps._count_accepted(t.offspring, i, arity, table) == expected, (t, u)
 
 
 def test_mean_degree_bound():

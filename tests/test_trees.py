@@ -167,6 +167,27 @@ def test_from_internal_words_rejects_letters_outside_alphabet(arity, good, bad):
     assert any(f"word {w} " in str(e.value) for w in bad)
 
 
+@pytest.mark.parametrize("arity, words, match", [
+    (3, [(), (1,), (1,)], "repeated"),
+    (3, [(), ()], "repeated"),
+    (3, [(), (1, 1), (1,)], "no parent before it"),
+    (2, [(1,), ()], "no parent before it"),
+    (3, [(), (4,)], "outside 1..3"),
+    (2, [(), (0,)], "outside 1..2"),
+    (2, [(), (1,), (1, 3)], "outside 1..2"),
+])
+def test_from_skeleton_rejects(arity, words, match):
+    with pytest.raises(ValueError, match=match):
+        IncreasingTree.from_skeleton(arity, words)
+
+
+@pytest.mark.parametrize("internal", [[(), (1, 1)], [(), (7,)]])
+def test_offspring_from_internal_words_rejects(internal):
+    # both used to give the one-node tree [3, 0, 0, 0], dropping a word
+    with pytest.raises(ValueError):
+        offspring_from_internal_words(3, internal)
+
+
 def test_offspring_from_internal_words_iterative_deep():
     # a path of depth 5000 would blow the recursion limit if done recursively
     chain = {tuple([1] * d) for d in range(5000)}
@@ -288,6 +309,8 @@ def test_increasing_tree_first_split_uniform():
 
 def _increasing_skeleton_reference(arity, K, rng):
     """Leaf growth one draw per step, on word tuples."""
+    if not K:
+        return []
     skeleton = [()]
     leaves = [(i,) for i in range(1, arity + 1)]
     for _ in range(K - 1):
@@ -301,13 +324,14 @@ def _increasing_skeleton_reference(arity, K, rng):
 
 
 @pytest.mark.parametrize("arity", [2, 3])
-@pytest.mark.parametrize("K", [1, 2, 50, 2000])
+@pytest.mark.parametrize("K", [0, 1, 2, 50, 2000])
 def test_increasing_tree_matches_per_step_reference(arity, K):
     # same picks from the same stream, and the same stream left behind
     rng, ref_rng = rng_from_seed(31, K), rng_from_seed(31, K)
     it = sample_increasing_tree(arity, K, rng)
     skeleton = _increasing_skeleton_reference(arity, K, ref_rng)
     assert it.skeleton == skeleton
+    assert IncreasingTree.from_skeleton(arity, skeleton).slot == it.slot
     assert rng.random() == ref_rng.random()
     assert it.shape() == OrderedTree.from_internal_words(arity, skeleton)
     assert it.depths() == [len(w) for w in skeleton]
