@@ -64,14 +64,22 @@ class FragmentationTree:
         return w
 
     def to_json_dict(self) -> dict:
+        # ``interval`` holds the root, then the children of each split in
+        # ``splits`` order, so each key is its parent's key plus one letter
+        # and ``key`` fills in the order of ``interval``; ``to_json`` sorts
+        # the keys
+        letters = [str(i) for i in range(1, self.arity + 1)]
+        key = {(): ""}
+        children = iter(self.interval)
+        next(children)
+        for w in self.splits:
+            parent = key[w]
+            for letter, child in zip(letters, children):
+                key[child] = parent + letter
         return {
             "arity": self.arity,
-            "intervals": {
-                "".join(map(str, w)): list(iv) for w, iv in sorted(self.interval.items())
-            },
-            "splits": {
-                "".join(map(str, w)): list(s) for w, s in sorted(self.splits.items())
-            },
+            "intervals": dict(zip(key.values(), map(list, self.interval.values()))),
+            "splits": {key[w]: list(s) for w, s in self.splits.items()},
         }
 
     def to_json(self) -> str:

@@ -479,21 +479,10 @@ def degree_via_tree(t: OrderedTree, u: Word, family: str) -> int:
     return _degree(t.offspring, i, family)
 
 
-def degree_via_tree_literal_quad(t: OrderedTree, u: Word) -> int:
-    """Variant counting descendants u·w with |w| >= 2 and w in {12,21}*;
-    disagrees with the map degree (see tests), kept for comparison."""
-    i = t.index_of(tuple(u))
-    return 2 + _count_accepted(t.offspring, i, 2, _QUAD_LITERAL)
-
-
 # Word automata as transition tables (next, accept): state 0 is the start,
 # next[arity * state + letter - 1] is the state after reading the letter
 # (None: no extension is accepted), and accept[state] says whether a word
 # ending in that state is accepted.
-
-# language {12,21}* restricted to length >= 2.  States: 1 and 2 after an odd
-# length ending in that letter, 3 after an even length >= 2.
-_QUAD_LITERAL = ((1, 2, None, 3, 3, None, 1, 2), (False, False, False, True))
 
 # language: some first letter i, then letters avoiding i.  State i is the
 # first letter; every state past the start is accepting.

@@ -333,33 +333,63 @@ class IncreasingTree:
         return {w: k + 1 for k, w in enumerate(self.skeleton)}
 
     def offspring(self) -> list[int]:
-        """Preorder offspring sequence of the shape, in O(n); a single leaf
-        when there is no internal node."""
-        a = self.arity
-        child = [-1] * (a * len(self.slot))  # node in each slot, -1 for a leaf
-        for k in range(1, len(self.slot)):
-            child[self.slot[k]] = k
-        out: list[int] = []
-        stack = [0 if self.slot else -1]
-        while stack:
-            v = stack.pop()
-            if v < 0:
-                out.append(0)
-            else:
-                out.append(a)
-                stack.extend(reversed(child[a * v:a * v + a]))
-        return out
+        """Preorder offspring sequence of the shape; a single leaf when there
+        is no internal node.
+
+        A slot holding node k spans a * (internal nodes under k) + 1 nodes
+        of the preorder, an empty slot 1.  Node k comes 1 + (the spans of
+        its left siblings) after its parent, so its preorder position is
+        that gap summed over its root path.  Only the subtree counts take a
+        Python pass, in reverse insertion order since children come after
+        parents.
+        """
+        a, K = self.arity, len(self.slot)
+        if not K:
+            return [0]
+        slot = np.asarray(self.slot, dtype=np.int64)
+        parent = slot // a
+        parent[0] = 0
+        count = [1] * K  # internal nodes in each subtree
+        for k, p in zip(range(K - 1, 0, -1), reversed(parent.tolist())):
+            count[p] += count[k]
+        span = np.ones(a * K, dtype=np.int64)
+        span[slot[1:]] = a * np.array(count[1:], dtype=np.int64) + 1
+        before = span.reshape(K, a).cumsum(axis=1).ravel() - span  # left siblings'
+        gap = np.zeros(K, dtype=np.int64)
+        gap[1:] = 1 + before[slot[1:]]
+        out = np.zeros(a * K + 1, dtype=np.int64)
+        out[_root_path_sum(parent, gap)] = a
+        return out.tolist()
 
     def shape(self) -> OrderedTree:
         return OrderedTree(self.arity, self.offspring())
 
     def depths(self) -> list[int]:
         """Depths of the internal nodes in insertion order."""
-        a = self.arity
-        depth = [0] if self.slot else []
-        for s in self.slot[1:]:
-            depth.append(depth[s // a] + 1)
-        return depth
+        if not self.slot:
+            return []
+        slot = np.asarray(self.slot, dtype=np.int64)
+        parent = slot // self.arity
+        parent[0] = 0
+        edge = np.ones(len(slot), dtype=np.int64)
+        edge[0] = 0
+        return _root_path_sum(parent, edge).tolist()
+
+
+def _root_path_sum(parent: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Sum of ``weight`` over each node and its ancestors, for a tree given
+    by ``parent`` with the root at 0 (``parent[0] = 0``, ``weight[0] = 0``).
+
+    Pointer doubling: ``total[k]`` holds the sum from k up to, not
+    including, ``up[k]``, and each round doubles the length of that stretch,
+    so the rounds number about log2 of the height.
+    """
+    total = weight.copy()
+    up = parent.copy()
+    while up.any():
+        total += total[up]
+        up = up[up]
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -477,21 +507,28 @@ def sample_increasing_tree(arity: int, K: int, rng) -> IncreasingTree:
     leaves, and all picks come from one draw.  The picked leaf's entry
     takes the last leaf, and the new node's children are appended in
     letter order.
+
+    That list is never built: the leaf each pick reads has a closed form.
+    Before step k the last leaf is always arity*k - 1.  Entry j was last
+    written either by the latest earlier step s that picked it, with the
+    last leaf arity*s - 1 (unless j was that last entry, j = (arity-1)s),
+    or else by the append of step s' = min(j // (arity-1), k-1), with the
+    fresh leaf s' + j.  One stable sort of the picks gives each step the
+    previous step with the same pick.
     """
     if K < 0:
         raise ValueError("K must be >= 0")
     if not K:
         return IncreasingTree(arity, [])
     picks = rng.integers(0, 1 + (arity - 1) * np.arange(1, K), dtype=np.int64)
-    slot = [-1]
-    leaves = list(range(arity))
-    # base = arity * k: the first slot of node k
-    for j, base in zip(picks.tolist(), range(arity, arity * K, arity)):
-        slot.append(leaves[j])
-        leaves[j] = leaves[-1]
-        leaves.pop()
-        leaves.extend(range(base, base + arity))
-    return IncreasingTree(arity, slot)
+    step = np.arange(1, K)
+    order = np.argsort(picks, kind="stable")
+    same = picks[order[1:]] == picks[order[:-1]]
+    prev = np.zeros(K - 1, dtype=np.int64)  # previous step with this pick, 0: none
+    prev[order[1:][same]] = order[:-1][same] + 1
+    swapped = (prev > 0) & (picks[prev - 1] != (arity - 1) * prev)
+    fresh = np.minimum(picks // (arity - 1), step - 1) + picks
+    return IncreasingTree(arity, [-1] + np.where(swapped, arity * prev - 1, fresh).tolist())
 
 
 class CapExceeded(RuntimeError):

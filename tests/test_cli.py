@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, determinism, output formats."""
 
 import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -169,6 +170,24 @@ def test_growth_size_0_is_the_bare_face(cmd, family, capsys):
     growth = capsys.readouterr()
     assert main(args + ["--law", "uniform"]) == 0
     assert growth == capsys.readouterr()
+
+
+# sha256 of `sample --law growth --seed 1` stdout, fixed before the sampler
+# and the preorder build were vectorized
+GROWTH_SAMPLE_SHA256 = {
+    ("tri", 3000): "fea5c96df5a3d589f08b4a7eb9251c9f0e7cfc1cfd6179412b2fcc6cf0c89ee0",
+    ("tri", 100000): "9c9da99796254d6b6319c2d8bccf0ed8a955bc4d6b2daaa62cd85a59ed425cb8",
+    ("quad", 3000): "33ced8a9316895c23acd9fa835edc326cbb4b6f25763cf19c8efcd8ac9197073",
+    ("quad", 100000): "1796e798a7c2c8d2f68af1a9e9b6cecc0d689375f0687f4f7db508f88495b177",
+}
+
+
+@pytest.mark.parametrize("family, size", sorted(GROWTH_SAMPLE_SHA256))
+def test_growth_sample_golden_bytes(family, size, capsys):
+    args = ["sample", "--family", family, "--law", "growth", "--size", str(size), "--seed", "1"]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GROWTH_SAMPLE_SHA256[family, size]
 
 
 def test_stats_csv_and_json():

@@ -132,3 +132,13 @@ def test_json_roundtrip_fields():
     d = json.loads(ft.to_json())
     assert d["arity"] == 2
     assert len(d["splits"]) == 4
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+@pytest.mark.parametrize("K", [1, 2, 300])
+def test_json_keys_are_the_words(arity, K):
+    ft = build_fragmentation_tree(arity, K, rng_from_seed(6, K))
+    d = ft.to_json_dict()
+    assert d["arity"] == arity
+    assert d["intervals"] == {"".join(map(str, w)): list(iv) for w, iv in ft.interval.items()}
+    assert d["splits"] == {"".join(map(str, w)): list(s) for w, s in ft.splits.items()}

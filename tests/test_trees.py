@@ -1,13 +1,17 @@
 """Ordered trees, samplers, and structural helpers."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stackmaps import maps
+from stackmaps import trees as trees_mod
 from stackmaps.counting import count_trees
+from stackmaps.maps import QUADRANGULATION, TRIANGULATION, map_from_tree, tree_from_map
 from stackmaps.trees import (
     CapExceeded,
     IncreasingTree,
@@ -324,7 +328,7 @@ def _increasing_skeleton_reference(arity, K, rng):
 
 
 @pytest.mark.parametrize("arity", [2, 3])
-@pytest.mark.parametrize("K", [0, 1, 2, 50, 2000])
+@pytest.mark.parametrize("K", [0, 1, 2, 50, 2000, 10**4])
 def test_increasing_tree_matches_per_step_reference(arity, K):
     # same picks from the same stream, and the same stream left behind
     rng, ref_rng = rng_from_seed(31, K), rng_from_seed(31, K)
@@ -335,6 +339,100 @@ def test_increasing_tree_matches_per_step_reference(arity, K):
     assert rng.random() == ref_rng.random()
     assert it.shape() == OrderedTree.from_internal_words(arity, skeleton)
     assert it.depths() == [len(w) for w in skeleton]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 4]), st.integers(0, 300), st.integers(0, 2**32 - 1))
+def test_increasing_tree_sampler_property(arity, K, seed):
+    # small K over many seeds: repeated positions and picks of the last leaf
+    rng, ref_rng = rng_from_seed(seed), rng_from_seed(seed)
+    it = sample_increasing_tree(arity, K, rng)
+    skeleton = _increasing_skeleton_reference(arity, K, ref_rng)
+    assert it.slot == IncreasingTree.from_skeleton(arity, skeleton).slot
+    assert rng.random() == ref_rng.random()
+
+
+def _offspring_reference(arity, slot):
+    """Preorder offspring sequence by a stack walk over a slot-to-node table."""
+    child = [-1] * (arity * len(slot))  # node in each slot, -1 for a leaf
+    for k in range(1, len(slot)):
+        child[slot[k]] = k
+    out = []
+    stack = [0 if slot else -1]
+    while stack:
+        v = stack.pop()
+        if v < 0:
+            out.append(0)
+        else:
+            out.append(arity)
+            stack.extend(reversed(child[arity * v:arity * v + arity]))
+    return out
+
+
+def _depths_reference(arity, slot):
+    depth = [0] if slot else []
+    for s in slot[1:]:
+        depth.append(depth[s // arity] + 1)
+    return depth
+
+
+def _check_against_reference(it):
+    assert it.offspring() == _offspring_reference(it.arity, it.slot)
+    assert it.depths() == _depths_reference(it.arity, it.slot)
+
+
+@pytest.mark.parametrize("arity", [2, 3, 4])
+def test_offspring_matches_stack_walk_on_growth_trees(arity):
+    for K in [0, 1, 2, 3, 7, 50, 3000]:
+        for r in range(5):
+            _check_against_reference(sample_increasing_tree(arity, K, rng_from_seed(41, r)))
+
+
+@pytest.mark.parametrize("family, arity", [(TRIANGULATION, 3), (QUADRANGULATION, 2)])
+def test_offspring_matches_stack_walk_on_recovered_trees(family, arity, monkeypatch):
+    # the slot lists tree_from_map replays from a uniform tree's map, which
+    # follow a peeling order rather than leaf growth
+    seen = []
+
+    class Recording(IncreasingTree):
+        def shape(self):
+            seen.append(self)
+            return super().shape()
+
+    monkeypatch.setattr(maps, "IncreasingTree", Recording)
+    for n in [0, 1, 5, 100, 1000]:
+        t = sample_uniform_tree(arity, n, rng_from_seed(43, n))
+        assert tree_from_map(map_from_tree(t, family)) == t
+    assert [len(it.slot) for it in seen] == [0, 1, 5, 100, 1000]
+    for it in seen:
+        _check_against_reference(it)
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+@pytest.mark.parametrize("first", [True, False])
+def test_offspring_on_deep_paths(arity, first, monkeypatch):
+    # the path 1^5000 (or arity^5000): the preorder and the depths take
+    # about log2(5000) doubling rounds, not one per level
+    K = 5000
+    letter = 1 if first else arity
+    it = IncreasingTree(arity, [-1] + [arity * k + letter - 1 for k in range(K - 1)])
+    checks = []  # loop tests per call of the root-path sum
+    path_sum = trees_mod._root_path_sum
+
+    class Counted(np.ndarray):
+        def any(self, *args, **kwargs):
+            checks[-1] += 1
+            return super().any(*args, **kwargs)
+
+    def counting(parent, weight):
+        checks.append(0)
+        return np.asarray(path_sum(parent.view(Counted), weight))
+
+    monkeypatch.setattr(trees_mod, "_root_path_sum", counting)
+    assert it.offspring() == _offspring_reference(arity, it.slot)
+    assert it.depths() == list(range(K))
+    # depth 4999 needs ceil(log2 4999) = 13 rounds, plus the test that ends them
+    assert checks == [math.ceil(math.log2(K - 1)) + 1] * 2
 
 
 def test_sample_gw_tree_cap():
