@@ -95,7 +95,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    ts = trees.enumerate_trees(ARITY[args.family], args.size, bound=trees.DEFAULT_EXHAUSTIVE_BOUND)
+    ts = trees.enumerate_trees(ARITY[args.family], args.size)
     _emit(json.dumps([t.to_parens() for t in ts]), args.out)
     return 0
 

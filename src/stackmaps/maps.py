@@ -63,9 +63,10 @@ class StackMap:
     (face-subdivision tree, adjacency lists).
 
     The tree determines the map; ``adjacency`` is derived from it by
-    ``adjacency_from_offspring``.  Vertex ids are the boundary, then one
-    vertex per internal tree node in preorder.  Face words appear only at
-    the API boundary (``word_of``, ``vertex_of``, ``leaf_faces``, ``grow``).
+    ``adjacency_from_offspring``, and code outside this class reads it as
+    the CSR pair ``graph``.  Vertex ids are the boundary, then one vertex
+    per internal tree node in preorder.  Face words appear only at the API
+    boundary (``word_of``, ``vertex_of``, ``leaf_faces``, ``grow``).
     """
 
     __slots__ = ("family", "tree", "adjacency")
@@ -134,6 +135,12 @@ class StackMap:
     def degree(self, vid: int) -> int:
         return len(self.adjacency[vid])
 
+    @property
+    def graph(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR pair (indptr, indices) of the adjacency, rebuilt on each read
+        so that hand edits of the lists show."""
+        return csgraph_from_adjacency(self.adjacency)
+
     # -- equality: the tree determines the map ------------------------------
 
     def __eq__(self, other) -> bool:
@@ -150,13 +157,11 @@ class StackMap:
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        edges = sorted(
-            (u, v) for u, nbrs in enumerate(self.adjacency) for v in nbrs if u < v
-        )
+        edges = _edges(self.graph)
         return {
             "family": self.family,
             "root_edge": list(self.root_edge),
-            "edges": [list(e) for e in edges],
+            "edges": edges[np.lexsort(edges.T[::-1])].tolist(),
             "tree": self.tree.to_parens(),
         }
 
@@ -215,21 +220,35 @@ def map_from_tree(t: OrderedTree, family: str) -> StackMap:
 # replayed once and each adjacency entry is read a bounded number of times,
 # so the cost is O(n) and no recursion is involved.
 #
-# Only the adjacency is read, so this doubles as a recognition test.  It
-# raises NotStackMapError on a loop, a repeated or one-sided edge, an
-# internal vertex that cannot be peeled, a replayed vertex whose neighbours
-# bound no live face, and anything but the bare boundary cycle left after
-# peeling.
+# Only the graph is read, so this doubles as a recognition test.  A numpy
+# check of the CSR pair comes first: no loop, no repeated edge, each edge
+# listed at both ends (``StackMap.graph`` rejects ids that are no vertex).
+# The peel then raises NotStackMapError on an internal vertex that cannot
+# be peeled or more than the bare boundary cycle left, the replay on a
+# vertex whose neighbours bound no live face.
 
 
 def tree_from_map(m: StackMap) -> OrderedTree:
-    """Face-subdivision tree of m, read off its adjacency alone; raises
+    """Face-subdivision tree of m, read off its graph alone; raises
     NotStackMapError if the graph is not a stack-map of ``m.family``."""
-    adj = m.adjacency
-    n, nb, k = len(adj), m.n_boundary, m.arity
-    _check_simple(adj)
+    indptr, indices = m.graph
+    n, nb, k = len(indptr) - 1, m.n_boundary, m.arity
+    # the entry v in row u is the key n * u + v; with no key repeated, each
+    # edge is listed at both ends iff the reversed keys are the same set
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    if (loop := rows == indices).any():
+        raise NotStackMapError(f"loop at vertex {rows[loop.argmax()]}")
+    keys = np.sort(rows * n + indices)
+    if (repeat := keys[1:] == keys[:-1]).any():
+        u, v = divmod(keys[repeat.argmax()], n)
+        raise NotStackMapError(f"repeated edge {u}-{v}")
+    back = indices * n + rows
+    if not np.array_equal(np.sort(back), keys):
+        p = np.isin(back, keys, invert=True).argmax()
+        raise NotStackMapError(f"edge {rows[p]}-{indices[p]} is listed at {rows[p]} only")
     # peel; k is both the degree of a last-inserted vertex and the arity
-    deg = [len(a) for a in adj]
+    flat, ends = indices.tolist(), indptr.tolist()
+    deg = np.diff(indptr).tolist()
     removed = bytearray(n)
     birth = [()] * n  # sorted neighbours of each vertex when it was peeled
     order = []
@@ -238,7 +257,7 @@ def tree_from_map(m: StackMap) -> OrderedTree:
         x = todo.pop()
         if deg[x] != k:
             continue  # lost a neighbour since it was queued: never peelable
-        live = _unpeeled_neighbours(adj, x, deg, removed, birth)
+        live = [y for y in flat[ends[x]:ends[x + 1]] if not removed[y]]
         live.sort()
         birth[x] = tuple(live)
         removed[x] = 1
@@ -251,7 +270,7 @@ def tree_from_map(m: StackMap) -> OrderedTree:
         x = next(x for x in range(nb, n) if not removed[x])
         raise NotStackMapError(f"internal vertex {x} cannot be peeled (degree {deg[x]} left)")
     for b in range(nb):
-        live = _unpeeled_neighbours(adj, b, deg, removed, birth)
+        live = [y for y in flat[ends[b]:ends[b + 1]] if not removed[y]]
         if sorted(live) != sorted(((b - 1) % nb, (b + 1) % nb)):
             raise NotStackMapError(
                 f"boundary vertex {b} keeps neighbours {live} after peeling, "
@@ -271,35 +290,6 @@ def tree_from_map(m: StackMap) -> OrderedTree:
             open_faces[tuple(sorted(child[attach]))] = (child, k * len(slot) + letter)
         slot.append(s)
     return IncreasingTree(k, slot).shape()
-
-
-def _check_simple(adj) -> None:
-    n = len(adj)
-    seen = [-1] * n
-    for u, nbrs in enumerate(adj):
-        for v in nbrs:
-            if not 0 <= v < n:
-                raise NotStackMapError(f"vertex {u} lists {v}, not a vertex id")
-            if v == u:
-                raise NotStackMapError(f"loop at vertex {u}")
-            if seen[v] == u:
-                raise NotStackMapError(f"repeated edge {u}-{v}")
-            seen[v] = u
-
-
-def _unpeeled_neighbours(adj, x, deg, removed, birth) -> list[int]:
-    """Neighbours of x not yet peeled.  Raises unless every edge at x is
-    two-sided: each peeled neighbour had x as a birth corner, and their
-    number matches the degree count-down."""
-    live = []
-    for y in adj[x]:
-        if not removed[y]:
-            live.append(y)
-        elif x not in birth[y]:
-            raise NotStackMapError(f"edge {x}-{y} is listed at {x} only")
-    if len(live) != deg[x]:
-        raise NotStackMapError(f"vertex {x} is listed by a neighbour it does not list")
-    return live
 
 
 # ---------------------------------------------------------------------------
@@ -391,14 +381,26 @@ def adjacency_from_offspring(offspring, family: str) -> list[list[int]]:
 
 def csgraph_from_adjacency(adj) -> tuple[np.ndarray, np.ndarray]:
     """CSR adjacency (indptr, indices) of adjacency lists, such as a
-    ``StackMap.adjacency``, including one edited by hand."""
+    ``StackMap.adjacency``, including one edited by hand.  Raises
+    NotStackMapError if a row lists an id outside 0..n-1."""
     n = len(adj)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.fromiter(map(len, adj), dtype=np.int64, count=n), out=indptr[1:])
     indices = np.fromiter(chain.from_iterable(adj), dtype=np.int64, count=int(indptr[-1]))
-    if indices.size and not 0 <= indices.min() <= indices.max() < n:
-        raise ValueError(f"adjacency lists a vertex id outside 0..{n - 1}")
+    if (bad := (indices < 0) | (indices >= n)).any():
+        p = bad.argmax()
+        u = np.searchsorted(indptr, p, side="right") - 1
+        raise NotStackMapError(f"vertex {u} lists {indices[p]}, not a vertex id (outside 0..{n - 1})")
     return indptr, indices
+
+
+def _edges(graph) -> np.ndarray:
+    """The edges of a CSR pair as rows (u, v) with u < v, in CSR row order:
+    each edge once, from the row of its smaller end."""
+    indptr, indices = graph
+    rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    keep = rows < indices
+    return np.stack((rows[keep], indices[keep]), axis=1)
 
 
 def _bfs(graph, sources) -> np.ndarray:
@@ -451,8 +453,7 @@ def bfs_distances_from(graph, source: int) -> np.ndarray:
 def distance_matrix(m: StackMap, sources=None) -> np.ndarray:
     """BFS distances from the given source ids (default: all) to every
     vertex, as an integer matrix with one row per source."""
-    graph = csgraph_from_adjacency(m.adjacency)
-    return _bfs(graph, range(m.n_vertices) if sources is None else sources)
+    return _bfs(m.graph, range(m.n_vertices) if sources is None else sources)
 
 
 def bfs_distance(m: StackMap, u: int, v: int) -> int:
@@ -613,18 +614,15 @@ def to_svg(m: StackMap) -> str:
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
     ]
-    for u, nbrs in enumerate(m.adjacency):
-        for v in nbrs:
-            if v < u:
-                continue  # drawn from v's row
-            (x1, y1), (x2, y2) = xy(u), xy(v)
-            root = {u, v} == set(m.root_edge)
-            stroke = "#d62728" if root else "#333"
-            width = 2.5 if root else 1.0
-            lines.append(
-                f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
-                f'stroke="{stroke}" stroke-width="{width}"/>'
-            )
+    for u, v in _edges(m.graph).tolist():
+        (x1, y1), (x2, y2) = xy(u), xy(v)
+        root = {u, v} == set(m.root_edge)
+        stroke = "#d62728" if root else "#333"
+        width = 2.5 if root else 1.0
+        lines.append(
+            f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
+            f'stroke="{stroke}" stroke-width="{width}"/>'
+        )
     for v in range(m.n_vertices):
         x, y = xy(v)
         lines.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5" fill="#1f77b4"/>')

@@ -9,8 +9,6 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-import numpy as np
-
 from . import fragmentation, localtopo, maps, stats, trees
 from .counting import count_trees
 from .passage import gamma, gamma_pair, quad_root_distance, quad_type, tri_root_distance, tri_type
@@ -244,9 +242,7 @@ def check_drawing_planar(level, mx):
         t = trees.sample_uniform_tree(arity, n, rng)
         m = maps.map_from_tree(t, fam)
         pos = maps.canonical_drawing(m)
-        edges = [
-            (u, v) for u, nbrs in enumerate(m.adjacency) for v in nbrs if u < v
-        ]
+        edges = maps._edges(m.graph).tolist()
         for (a, b), (c, d) in itertools.combinations(edges, 2):
             if {a, b} & {c, d}:
                 continue
@@ -259,7 +255,9 @@ def rotation_defect(m, rot) -> str:
     """Empty if ``rot`` (as from ``maps.rotation_system``) is planar, V - E
     + F = 2, with every face the root face's size; else what fails.  The
     face of the dart u -> v goes on to (v, rot[v][u])."""
-    if [sorted(s) for s in rot] != [sorted(nbrs) for nbrs in m.adjacency]:
+    indptr, indices = m.graph
+    flat, ends = indices.tolist(), indptr.tolist()
+    if [sorted(s) for s in rot] != [sorted(flat[a:b]) for a, b in zip(ends, ends[1:])]:
         return "the rotations do not list the neighbours"
     nxt = {(u, v): (v, w) for v, s in enumerate(rot) for u, w in s.items()}
     sizes = []

@@ -190,6 +190,29 @@ def test_growth_sample_golden_bytes(family, size, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == GROWTH_SAMPLE_SHA256[family, size]
 
 
+# sha256 of the map commands' stdout (JSON edges and SVG lines), fixed
+# before every reader moved onto StackMap.graph
+MAP_OUTPUT_SHA256 = {
+    "sample --family tri --law uniform --size 3000 --seed 1": "7f31130f9c3d5c7ebc35acb7fcf94f51e12420e5283b1b97b3015989dbe2561e",
+    "draw --family tri --law uniform --size 300 --seed 1": "825eb4daff8d0d760d2953a52ac2b69c41885581bdc22d07de1122ef54bc099b",
+    "draw --family tri --law growth --size 300 --seed 1": "d7a76a124fbbe69b5e165a920df470cb37a38fd864f8ebb0a6e9cef03b5cda41",
+    "ball --family tri --r 3 --seed 1": "5d7ca716cfee299ae262577de0d190b681d32db810c0863eb213daee2d6a4301",
+    "ball --family tri --r 3 --format svg --seed 1": "5daf25ba742bdb7038184b9b8e5bba8cec8f33a2441dcf424bfe71957cef203e",
+    "sample --family quad --law uniform --size 3000 --seed 1": "958951591a675d27977bbf1b6b2592a350b5ca9c4986f81f3b61e1eb5c454272",
+    "draw --family quad --law uniform --size 300 --seed 1": "69cd09601470dcad0cb6cbc9b1decfd81710cf2923d4f8737c0805d42fcb56b8",
+    "draw --family quad --law growth --size 300 --seed 1": "494661c4b48ba398441e20ff553e60038b9365623b5a25d869253c085e4cfdc5",
+    "ball --family quad --r 3 --seed 1": "0653613425df842f28b3945071f65ab1322b4f20fb5e6369763078cc2cb8a441",
+    "ball --family quad --r 3 --format svg --seed 1": "31a208ce84a6facc7553d695801a4c169aef54e3fef76c714a4b1bb31718b526",
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(MAP_OUTPUT_SHA256))
+def test_map_output_golden_bytes(cmd, capsys):
+    assert main(cmd.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == MAP_OUTPUT_SHA256[cmd]
+
+
 def test_stats_csv_and_json():
     base = ["stats", "--experiment", "gamma-rate", "--n", "10000", "--reps", "2", "--seed", "3"]
     rj = run_cli(base)

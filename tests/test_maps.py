@@ -1,8 +1,10 @@
 """Stack-map construction, bijection with trees, distances and degrees."""
 
+import ast
 import math
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,23 +200,39 @@ def test_map_from_tree_injective_small():
             assert len(set(maps)) == len(maps)
 
 
+def _set_edges(m: StackMap, n: int, edges) -> None:
+    """Replace m's graph by n vertices and the given edges."""
+    m.adjacency = [[] for _ in range(n)]
+    for u, v in edges:
+        _add_edge(m, u, v)
+
+
 def _non_stack_triangulation() -> StackMap:
     """A triangulation of the triangle that no insertion history produces:
     an inner triangle x,y,z with each inner vertex joined to two boundary
     corners (the octahedron drawn in a triangle)."""
     A, B, C, x, y, z = range(6)
-    edges = [
+    m = StackMap(TRIANGULATION)
+    _set_edges(m, 6, [
         (A, B), (B, C), (C, A),
         (x, y), (y, z), (z, x),
         (x, A), (x, B), (y, B), (y, C), (z, C), (z, A),
-    ]
-    adj = [[] for _ in range(6)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    m = StackMap(TRIANGULATION)
-    m.adjacency = adj
+    ])
     return m
+
+
+def test_graph_is_read_through_stackmap_graph():
+    # in the package, only StackMap and the two list-view functions touch the
+    # adjacency lists; every other reader takes the CSR pair StackMap.graph
+    allowed = {"StackMap", "adjacency_from_offspring", "csgraph_from_adjacency"}
+    touches = []
+    for path in sorted(Path(maps.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if path.name == "maps.py" and getattr(top, "name", None) in allowed:
+                continue
+            touches += [f"{path.name}:{node.lineno}" for node in ast.walk(top)
+                        if isinstance(node, ast.Attribute) and node.attr == "adjacency"]
+    assert touches == []
 
 
 def test_tree_from_map_rejects_non_stack():
@@ -234,6 +252,20 @@ def _add_pendant_vertex(m: StackMap) -> None:
     _add_edge(m, x, 1)
 
 
+def _two_in_one_face(m: StackMap) -> None:
+    """3 in the root face, then 4 and 5 each joined to the corners 0, 1, 3
+    of the face (0, 1, 3): the peel succeeds, the replay finds that face
+    taken by 4 when it comes to 5."""
+    ring = [(0, 1), (1, 2), (2, 0), (3, 0), (3, 1), (3, 2)]
+    _set_edges(m, 6, ring + [(x, c) for x in (4, 5) for c in (0, 1, 3)])
+
+
+def _boundary_end_only(m: StackMap) -> None:
+    """The one-insertion map with the edge 0-3 dropped from the row of 3."""
+    _set_edges(m, 4, [(0, 1), (1, 2), (2, 0), (3, 0), (3, 1), (3, 2)])
+    m.adjacency[3].remove(0)
+
+
 @pytest.mark.parametrize(
     "family, spoil, match",
     [
@@ -242,8 +274,13 @@ def _add_pendant_vertex(m: StackMap) -> None:
         (TRIANGULATION, lambda m: _add_edge(m, 0, 0), "loop"),
         (TRIANGULATION, _add_pendant_vertex, "cannot be peeled"),
         (TRIANGULATION, lambda m: m.adjacency[0].append(4), "listed at 0 only"),
+        (TRIANGULATION, lambda m: m.adjacency[2].append(9), "^vertex 2 lists 9, not a vertex id"),
+        (TRIANGULATION, _two_in_one_face,
+         re.escape("the neighbours (0, 1, 3) of vertex 5 bound no face")),
+        (TRIANGULATION, _boundary_end_only, "^edge 0-3 is listed at 0 only$"),
     ],
-    ids=["boundary-chord", "doubled-edge", "loop", "pendant-vertex", "one-sided-edge"],
+    ids=["boundary-chord", "doubled-edge", "loop", "pendant-vertex", "one-sided-edge",
+         "id-out-of-range", "replay-no-face", "one-sided-at-boundary-end"],
 )
 def test_tree_from_map_rejects_spoiled_map(family, spoil, match):
     arity = 3 if family == TRIANGULATION else 2
