@@ -22,7 +22,7 @@ from itertools import chain
 
 import numpy as np
 
-from .trees import IncreasingTree, OrderedTree, Word, _subtree_end
+from .trees import IncreasingTree, OrderedTree, Word, _stable_argsort, _subtree_end, preorder_links
 
 TRIANGULATION = "triangulation"
 QUADRANGULATION = "quadrangulation"
@@ -305,53 +305,64 @@ _RING_ROWS = {TRIANGULATION: ((1, 2), (0, 2), (1, 0)),
               QUADRANGULATION: ((1, 3), (0, 2), (1, 3), (2, 0))}
 
 
-def _birth_corners(offspring, family: str) -> list[int]:
-    """Flat list of the birth corners of the internal vertices, in preorder:
-    the k entries from k*j on (k the arity) are the corners the j-th
-    internal vertex is joined to.  One pass over the offspring sequence with
-    a stack of the faces still to visit; it inlines ``_SPLIT`` for speed."""
-    if isinstance(offspring, np.ndarray):
-        offspring = offspring.tolist()  # Python ints iterate faster
-    corners: list[int] = []
-    x = _N_BOUNDARY[family]
-    stack = [_ROOT_FACE[family]]
-    try:
-        if family == TRIANGULATION:
-            for c in offspring:
-                face = stack.pop()
-                if c:
-                    v1, v2, v3 = face
-                    corners += face
-                    stack += ((v1, v2, x), (v1, x, v3), (x, v2, v3))
-                    x += 1
-        else:
-            for c in offspring:
-                face = stack.pop()
-                if c:
-                    a, b, cc, d = face
-                    corners += (b, d)
-                    stack += ((b, x, d, cc), (b, x, d, a))
-                    x += 1
-    except IndexError:
-        raise ValueError("offspring sequence runs past the end of the tree") from None
-    if stack:
-        raise ValueError("offspring sequence is incomplete")
+def _joined_corners(parent: np.ndarray, letter: np.ndarray, family: str) -> np.ndarray:
+    """The corners each internal vertex is joined to, one row per vertex in
+    preorder, from the parent and letter of each internal node.
+
+    Each corner of each birth face is a cell.  The root face's cells hold
+    their vertices.  A child face's cell holds its parent's vertex or
+    points to a cell of the parent's face, as ``_SPLIT`` applied to the
+    corner numbers says.  Pointer jumping then takes every cell to the cell
+    holding its vertex, in about log2 of the height rounds, each a numpy
+    step over the cells not there yet.
+    """
+    split, attach, _ = _SPLIT[family]
+    root = _ROOT_FACE[family]
+    f, K = len(root), len(parent)
+    # source[l - 1, j]: the parent's corner that is corner j of child l, -1
+    # for the parent's vertex
+    source = np.array(split(tuple(range(f)), -1), dtype=np.int64)
+    ptr = np.empty((K, f), dtype=np.int64)  # cell f * r + j: corner j of node r
+    ptr[:1] = np.arange(f)
+    np.take(source, letter[1:] - 1, axis=0, out=ptr[1:])
+    held = ptr < 0
+    held[:1] = True
+    ptr[1:] += f * parent[1:, None]
+    ptr, held = ptr.ravel(), held.ravel()
+    ptr[held] = np.flatnonzero(held)
+    todo = np.flatnonzero(~held)
+    while todo.size:
+        ptr[todo] = ptr[ptr[todo]]
+        todo = todo[~held[ptr[todo]]]
+    # a cell of node r > 0 that holds a vertex holds that of its parent
+    end = ptr.reshape(K, f)[:, attach]
+    node = end // f
+    corners = _N_BOUNDARY[family] + parent[node]
+    in_root = node == 0
+    corners[in_root] = np.array(root)[end[in_root]]
     return corners
 
 
-def csr_from_offspring(offspring, family: str) -> tuple[np.ndarray, np.ndarray]:
-    """CSR adjacency (indptr, indices) of the map of the tree given as a
-    preorder offspring sequence.  Vertex ids: boundary first, then internal
-    nodes in preorder.
+def csr_from_links(parent, letter, family: str) -> tuple[np.ndarray, np.ndarray]:
+    """CSR adjacency (indptr, indices) of the map of the tree given by the
+    parent and letter of each internal node in preorder, as
+    ``IncreasingTree.links`` and ``trees.preorder_links`` give them.
+    Vertex ids: boundary first, then internal nodes in preorder.
 
-    This is the one map builder: ``adjacency_from_offspring`` (and through
-    it ``StackMap``) reads its rows, and Monte-Carlo code runs BFS on it
-    straight from sampled offspring arrays.
+    ValueError unless the root comes first and every other node's parent
+    comes before it with a letter in 1..arity; that the arrays list a
+    tree's nodes in preorder is not checked.
     """
     nb, k = _N_BOUNDARY[family], _ARITY[family]
-    flat = _birth_corners(offspring, family)
-    corners = np.fromiter(flat, dtype=np.int64, count=len(flat))
-    n = nb + len(corners) // k
+    parent = np.asarray(parent, dtype=np.int64)
+    letter = np.asarray(letter, dtype=np.int64)
+    K = len(parent)
+    if (len(letter) != K or (K and parent[0] != -1)
+            or not ((0 <= parent[1:]) & (parent[1:] < np.arange(1, K))).all()
+            or not ((1 <= letter[1:]) & (letter[1:] <= k)).all()):
+        raise ValueError("links are not a tree's parents and letters in preorder")
+    corners = _joined_corners(parent, letter, family).ravel()
+    n = nb + K
     # row v is its head (a boundary vertex's two ring neighbours, an internal
     # vertex's birth corners), then its tail: the later vertices born with v
     # as a corner, in increasing order
@@ -365,10 +376,21 @@ def csr_from_offspring(offspring, family: str) -> tuple[np.ndarray, np.ndarray]:
     indices[indptr[nb:n, None] + np.arange(k)] = corners.reshape(-1, k)
     # a stable sort by corner keeps each corner's vertices in birth order;
     # the j-th pair in that order lands at tail_start[corner] + j
-    order = np.argsort(corners, kind="stable")
+    order = _stable_argsort(corners)
     tail_start = indptr[:-1] + head - (np.cumsum(tail) - tail)
     indices[tail_start[corners[order]] + np.arange(len(corners))] = order // k + nb
     return indptr, indices
+
+
+def csr_from_offspring(offspring, family: str) -> tuple[np.ndarray, np.ndarray]:
+    """CSR adjacency (indptr, indices) of the map of the tree given as a
+    preorder offspring sequence: ``csr_from_links`` of its links.
+
+    This is the one map builder from offspring: ``adjacency_from_offspring``
+    (and through it ``StackMap``) reads its rows, and Monte-Carlo code runs
+    BFS on it straight from sampled offspring arrays.
+    """
+    return csr_from_links(*preorder_links(_ARITY[family], offspring), family)
 
 
 def adjacency_from_offspring(offspring, family: str) -> list[list[int]]:
@@ -442,7 +464,7 @@ def _bfs(graph, sources) -> np.ndarray:
 
 def bfs_distances_from(graph, source: int) -> np.ndarray:
     """BFS distances from one source on a CSR pair (indptr, indices), as
-    ``csr_from_offspring`` or ``csgraph_from_adjacency`` give it."""
+    ``csr_from_links`` or ``csgraph_from_adjacency`` give it."""
     return _bfs(graph, [source])[0]
 
 

@@ -359,8 +359,8 @@ def _quad_rate(seed, n, reps):
 def _distance_ratio(n, rng) -> float:
     """Distance between two uniform internal vertices of a growth-law
     triangulation, over (6/11)·log n."""
-    off = trees_mod.sample_increasing_tree(3, n, rng).offspring()
-    graph = maps_mod.csr_from_offspring(off, maps_mod.TRIANGULATION)
+    links = trees_mod.sample_increasing_tree(3, n, rng).links()
+    graph = maps_mod.csr_from_links(*links, maps_mod.TRIANGULATION)
     nb = maps_mod._N_BOUNDARY[maps_mod.TRIANGULATION]
     ids = rng.integers(nb, len(graph[0]) - 1, size=2)
     d = int(maps_mod.bfs_distances_from(graph, int(ids[0]))[int(ids[1])])

@@ -334,32 +334,54 @@ class IncreasingTree:
 
     def offspring(self) -> list[int]:
         """Preorder offspring sequence of the shape; a single leaf when there
-        is no internal node.
-
-        A slot holding node k spans a * (internal nodes under k) + 1 nodes
-        of the preorder, an empty slot 1.  Node k comes 1 + (the spans of
-        its left siblings) after its parent, so its preorder position is
-        that gap summed over its root path.  Only the subtree counts take a
-        Python pass, in reverse insertion order since children come after
-        parents.
-        """
+        is no internal node."""
         a, K = self.arity, len(self.slot)
         if not K:
             return [0]
-        slot = np.asarray(self.slot, dtype=np.int64)
+        out = np.zeros(a * K + 1, dtype=np.int64)
+        out[self._preorder(np.asarray(self.slot, dtype=np.int64), leaves=True)] = a
+        return out.tolist()
+
+    def links(self) -> tuple[np.ndarray, np.ndarray]:
+        """Parent and letter of each internal node, both indexed by its
+        preorder rank among the internal nodes: the node of rank r is child
+        ``letter[r]`` of the node of rank ``parent[r]`` (the root, rank 0,
+        has parent -1 and letter 0).  These are the arrays
+        ``preorder_links`` reads off the offspring sequence."""
+        a, K = self.arity, len(self.slot)
+        parent = np.full(K, -1, dtype=np.int64)
+        letter = np.zeros(K, dtype=np.int64)
+        if K:
+            slot = np.asarray(self.slot, dtype=np.int64)
+            rank = self._preorder(slot, leaves=False)
+            parent[rank[1:]] = rank[slot[1:] // a]
+            letter[rank[1:]] = slot[1:] % a + 1
+        return parent, letter
+
+    def _preorder(self, slot: np.ndarray, leaves: bool) -> np.ndarray:
+        """Preorder position of each internal node, in insertion order, for
+        the slot list as an array: among all nodes if ``leaves``, else among
+        the internal nodes alone.
+
+        A slot holding node k spans a * (internal nodes under k) + 1 nodes
+        of the preorder, an empty slot 1 (without the leaves: the internal
+        nodes under k, and 0).  Node k comes 1 + (the spans of its left
+        siblings) after its parent, so its position is that gap summed over
+        its root path.  Only the subtree counts take a Python pass, in
+        reverse insertion order since children come after parents.
+        """
+        a, K = self.arity, len(slot)
         parent = slot // a
         parent[0] = 0
         count = [1] * K  # internal nodes in each subtree
         for k, p in zip(range(K - 1, 0, -1), reversed(parent.tolist())):
             count[p] += count[k]
-        span = np.ones(a * K, dtype=np.int64)
-        span[slot[1:]] = a * np.array(count[1:], dtype=np.int64) + 1
+        span = np.full(a * K, int(leaves), dtype=np.int64)
+        span[slot[1:]] = (a if leaves else 1) * np.array(count[1:], dtype=np.int64) + leaves
         before = span.reshape(K, a).cumsum(axis=1).ravel() - span  # left siblings'
         gap = np.zeros(K, dtype=np.int64)
         gap[1:] = 1 + before[slot[1:]]
-        out = np.zeros(a * K + 1, dtype=np.int64)
-        out[_root_path_sum(parent, gap)] = a
-        return out.tolist()
+        return _root_path_sum(parent, gap)
 
     def shape(self) -> OrderedTree:
         return OrderedTree(self.arity, self.offspring())
@@ -419,6 +441,58 @@ def _subtree_end(offspring, i: int) -> int:
         depth += offspring[i] - 1
         i += 1
     return i
+
+
+def preorder_links(arity: int, offspring) -> tuple[np.ndarray, np.ndarray]:
+    """Parent and letter of each internal node, indexed by preorder rank
+    among the internal nodes, as ``IncreasingTree.links`` gives them, read
+    off a preorder offspring sequence (any nonzero count is an internal
+    node).  ValueError if the sequence runs past the end of the tree or
+    stops before it.
+
+    The preorder is a walk over a stack of open child slots: each node takes
+    the slot on top, and an internal node then pushes its ``arity`` child
+    slots, letter 1 on top.  At each stack position the pushes and the pops
+    alternate, so the k-th pop there takes the k-th push there, and one
+    stable sort of each side by position pairs them all.
+    """
+    internal = np.asarray(offspring) != 0
+    n = len(internal)
+    height = np.ones(n + 1, dtype=np.int64)  # open slots before each node
+    np.cumsum(np.where(internal, arity - 1, -1), out=height[1:])
+    height[1:] += 1
+    if (height[:n] < 1).any():
+        raise ValueError("offspring sequence runs past the end of the tree")
+    if height[n]:
+        raise ValueError("offspring sequence is incomplete")
+    top = height[:n] - 1  # the stack position of each node's slot
+    inner = np.flatnonzero(internal)
+    # push 0 is the root's slot, push 1 + arity*r + l - 1 is child l of the
+    # internal node of rank r
+    pushed = np.zeros(arity * len(inner) + 1, dtype=np.int64)
+    pushed[1:] = (top[inner, None] + np.arange(arity - 1, -1, -1)).ravel()
+    push = np.empty(n, dtype=np.int64)
+    push[_stable_argsort(top)] = _stable_argsort(pushed)
+    parent, letter = np.divmod(push[inner] - 1, arity)
+    letter += 1
+    letter[:1] = 0  # the root, taken from push 0
+    return parent, letter
+
+
+def _stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` of non-negative integer keys.
+
+    numpy radix-sorts integer types of 16 bits or less and uses timsort on
+    wider ones, so the keys are cast to the narrowest unsigned type that
+    holds them, and wider keys are sorted 16 bits at a time, the low bits
+    first: each pass is stable, so the permutation is the same.
+    """
+    if not keys.size:
+        return np.argsort(keys, kind="stable")
+    if keys.max() >> 16:
+        order = _stable_argsort(keys & 0xFFFF)
+        return order[_stable_argsort(keys[order] >> 16)]
+    return np.argsort(keys.astype(np.min_scalar_type(keys.max()), copy=False), kind="stable")
 
 
 def offspring_from_internal_words(arity: int, internal) -> list[int]:
@@ -522,7 +596,7 @@ def sample_increasing_tree(arity: int, K: int, rng) -> IncreasingTree:
         return IncreasingTree(arity, [])
     picks = rng.integers(0, 1 + (arity - 1) * np.arange(1, K), dtype=np.int64)
     step = np.arange(1, K)
-    order = np.argsort(picks, kind="stable")
+    order = _stable_argsort(picks)
     same = picks[order[1:]] == picks[order[:-1]]
     prev = np.zeros(K - 1, dtype=np.int64)  # previous step with this pick, 0: none
     prev[order[1:][same]] = order[:-1][same] + 1

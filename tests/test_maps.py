@@ -22,6 +22,7 @@ from stackmaps.maps import (
     bfs_distances_from,
     canonical_drawing,
     csgraph_from_adjacency,
+    csr_from_links,
     csr_from_offspring,
     degree_via_tree,
     distance_matrix,
@@ -35,6 +36,7 @@ from stackmaps.maps import (
 )
 from stackmaps.passage import gamma_prime_literal, quad_root_distance, tri_root_distance
 from stackmaps.trees import (
+    IncreasingTree,
     OrderedTree,
     enumerate_trees,
     rng_from_seed,
@@ -475,10 +477,55 @@ def test_csr_bfs_matches_scipy_and_reference_lists():
             assert (distance_matrix(m, sources) == want).all()
 
 
+@pytest.mark.parametrize("family, case", [
+    (TRIANGULATION, "uniform"),
+    (QUADRANGULATION, "path"),
+])
+def test_csr_matches_reference_lists_past_16_bit_keys(family, case):
+    # a uniform map with more than 2^16 vertices (corner ids past 16 bits),
+    # and the quad path 1^70000, whose slot stack grows past 2^16
+    if case == "uniform":
+        offspring = sample_offspring_sequence(3, 70000, rng_from_seed(24))
+    else:
+        offspring = [2] * 70000 + [0] * 70001
+    indptr, indices = csr_from_offspring(offspring, family)
+    assert len(indptr) - 1 > 2**16
+    assert adjacency_from_offspring(offspring, family) == _reference_adjacency(offspring, family)
+
+
+def _growth_cases(arity):
+    for K in [0, 1, 2, 50, 3000]:
+        yield sample_increasing_tree(arity, K, rng_from_seed(25, K))
+    for letter in (1, arity):  # the paths 1^2000 and arity^2000
+        yield IncreasingTree(arity, [-1] + [arity * k + letter - 1 for k in range(1999)])
+
+
+@pytest.mark.parametrize("family, arity", [(TRIANGULATION, 3), (QUADRANGULATION, 2)])
+def test_csr_from_growth_links_matches_offspring(family, arity):
+    for it in _growth_cases(arity):
+        indptr, indices = csr_from_links(*it.links(), family)
+        want = csr_from_offspring(it.offspring(), family)
+        assert np.array_equal(indptr, want[0]) and np.array_equal(indices, want[1])
+        rows = [indices[a:b].tolist() for a, b in zip(indptr[:-1], indptr[1:])]
+        assert rows == _reference_adjacency(it.offspring(), family)
+
+
+@pytest.mark.parametrize("parent, letter", [
+    ([0], [0]),  # the root has parent -1
+    ([-1, 1], [0, 1]),  # a parent not before its child
+    ([-1, 0], [0, 4]),  # a letter outside 1..3
+    ([-1, 0], [0]),  # arrays of different lengths
+])
+def test_csr_from_links_rejects_non_preorder_links(parent, letter):
+    with pytest.raises(ValueError, match="preorder"):
+        csr_from_links(parent, letter, TRIANGULATION)
+
+
 @pytest.mark.parametrize("family, offspring, match", [
     (TRIANGULATION, [3, 0, 0], "incomplete"),
     (TRIANGULATION, [0, 0], "past the end"),
     (QUADRANGULATION, [2, 0, 0, 0], "past the end"),
+    (TRIANGULATION, [], "incomplete"),
 ])
 def test_csr_rejects_malformed_offspring(family, offspring, match):
     with pytest.raises(ValueError, match=match):

@@ -21,6 +21,7 @@ from stackmaps.trees import (
     is_valid_tree,
     lca,
     offspring_from_internal_words,
+    preorder_links,
     rng_from_seed,
     sample_gw_tree,
     sample_increasing_tree,
@@ -328,7 +329,7 @@ def _increasing_skeleton_reference(arity, K, rng):
 
 
 @pytest.mark.parametrize("arity", [2, 3])
-@pytest.mark.parametrize("K", [0, 1, 2, 50, 2000, 10**4])
+@pytest.mark.parametrize("K", [0, 1, 2, 50, 2000, 10**4, 70000])
 def test_increasing_tree_matches_per_step_reference(arity, K):
     # same picks from the same stream, and the same stream left behind
     rng, ref_rng = rng_from_seed(31, K), rng_from_seed(31, K)
@@ -376,9 +377,20 @@ def _depths_reference(arity, slot):
     return depth
 
 
+def _links_reference(t):
+    """Parent rank and letter of each internal node of an OrderedTree, read
+    off its navigation arrays."""
+    rank = t._arrays().rank
+    inner = t.internal_indices()
+    return [rank[t.parent[i]] if i else -1 for i in inner], [t.letter[i] for i in inner]
+
+
 def _check_against_reference(it):
-    assert it.offspring() == _offspring_reference(it.arity, it.slot)
+    offspring = _offspring_reference(it.arity, it.slot)
+    assert it.offspring() == offspring
     assert it.depths() == _depths_reference(it.arity, it.slot)
+    parent, letter = it.links()
+    assert (parent.tolist(), letter.tolist()) == _links_reference(OrderedTree(it.arity, offspring))
 
 
 @pytest.mark.parametrize("arity", [2, 3, 4])
@@ -433,6 +445,25 @@ def test_offspring_on_deep_paths(arity, first, monkeypatch):
     assert it.depths() == list(range(K))
     # depth 4999 needs ceil(log2 4999) = 13 rounds, plus the test that ends them
     assert checks == [math.ceil(math.log2(K - 1)) + 1] * 2
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_preorder_links_match_navigation(arity):
+    every = [t for n in range(7) for t in enumerate_trees(arity, n)]
+    sampled = [sample_uniform_tree(arity, n, rng_from_seed(47, n)) for n in [10, 300, 5000]]
+    for t in every + sampled:
+        parent, letter = preorder_links(arity, t.offspring)
+        assert (parent.tolist(), letter.tolist()) == _links_reference(t)
+    assert len(every) == sum(count_trees(arity, n) for n in range(7))
+
+
+def test_stable_argsort_matches_numpy_at_every_width():
+    rng = np.random.default_rng(48)
+    for high in [1, 200, 2**16, 2**16 + 1, 2**40]:
+        keys = rng.integers(0, high, size=5000)
+        want = np.argsort(keys, kind="stable")
+        assert np.array_equal(trees_mod._stable_argsort(keys), want)
+    assert trees_mod._stable_argsort(np.zeros(0, dtype=np.int64)).size == 0
 
 
 def test_sample_gw_tree_cap():
