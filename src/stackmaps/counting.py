@@ -8,7 +8,7 @@ numbers grow past 64 bits almost immediately.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 
 def count_trees(arity: int, n_internal: int) -> int:
@@ -69,16 +69,11 @@ def count_histories(tree) -> int:
     An insertion order is a linear extension of the internal-node poset, so
     the hook-length formula for forests applies.
     """
-    # size[i]: internal nodes in the subtree of node i, summed children first
-    size = [1 if c else 0 for c in tree.offspring]
-    parent = tree.parent
-    for i in range(len(tree) - 1, 0, -1):
-        size[parent[i]] += size[i]
-    den = 1
-    for i in range(1, len(tree)):
-        den *= size[i] or 1
+    # the subtree of node i spans arity * (its internal nodes) + 1 nodes
+    inner = tree.internal_indices()
+    den = prod((tree.subtree_end(i) - i - 1) // tree.arity for i in inner[1:])
     # (K-1)!, since the root's hook K cancels against K!
-    return factorial(size[0] - 1) // den if size[0] else 1
+    return factorial(len(inner) - 1) // den if inner else 1
 
 
 def q_walk_exact(m: int, k: int) -> Fraction:

@@ -22,7 +22,8 @@ from itertools import chain
 
 import numpy as np
 
-from .trees import IncreasingTree, OrderedTree, Word, _stable_argsort, _subtree_end, preorder_links
+from .trees import (IncreasingTree, OrderedTree, Word, _root_path_sum, _stable_argsort, _subtree_end,
+                    preorder_links)
 
 TRIANGULATION = "triangulation"
 QUADRANGULATION = "quadrangulation"
@@ -133,6 +134,8 @@ class StackMap:
         return self.n_boundary + r
 
     def degree(self, vid: int) -> int:
+        if not 0 <= vid < self.n_vertices:
+            raise ValueError(f"vertex {vid} is not a vertex id 0..{self.n_vertices - 1}")
         return len(self.adjacency[vid])
 
     @property
@@ -293,7 +296,7 @@ def tree_from_map(m: StackMap) -> OrderedTree:
 
 
 # ---------------------------------------------------------------------------
-# the map on flat arrays: birth corners, CSR adjacency, frontier BFS
+# the map on flat arrays: birth faces, CSR adjacency, frontier BFS
 #
 # A map's graph is a CSR pair (indptr, indices) of int64 arrays: the
 # neighbours of vertex v are indices[indptr[v]:indptr[v + 1]], in the order
@@ -305,9 +308,10 @@ _RING_ROWS = {TRIANGULATION: ((1, 2), (0, 2), (1, 0)),
               QUADRANGULATION: ((1, 3), (0, 2), (1, 3), (2, 0))}
 
 
-def _joined_corners(parent: np.ndarray, letter: np.ndarray, family: str) -> np.ndarray:
-    """The corners each internal vertex is joined to, one row per vertex in
-    preorder, from the parent and letter of each internal node.
+def _birth_faces(parent: np.ndarray, letter: np.ndarray, family: str) -> np.ndarray:
+    """The corners of each internal vertex's birth face, one row per vertex
+    in preorder, in the order ``_SPLIT`` gives them, from the parent and
+    letter of each internal node.
 
     Each corner of each birth face is a cell.  The root face's cells hold
     their vertices.  A child face's cell holds its parent's vertex or
@@ -316,7 +320,7 @@ def _joined_corners(parent: np.ndarray, letter: np.ndarray, family: str) -> np.n
     holding its vertex, in about log2 of the height rounds, each a numpy
     step over the cells not there yet.
     """
-    split, attach, _ = _SPLIT[family]
+    split = _SPLIT[family][0]
     root = _ROOT_FACE[family]
     f, K = len(root), len(parent)
     # source[l - 1, j]: the parent's corner that is corner j of child l, -1
@@ -335,12 +339,8 @@ def _joined_corners(parent: np.ndarray, letter: np.ndarray, family: str) -> np.n
         ptr[todo] = ptr[ptr[todo]]
         todo = todo[~held[ptr[todo]]]
     # a cell of node r > 0 that holds a vertex holds that of its parent
-    end = ptr.reshape(K, f)[:, attach]
-    node = end // f
-    corners = _N_BOUNDARY[family] + parent[node]
-    in_root = node == 0
-    corners[in_root] = np.array(root)[end[in_root]]
-    return corners
+    vertex = np.concatenate((root, np.repeat(_N_BOUNDARY[family] + parent[1:], f)))
+    return vertex[ptr].reshape(K, f)
 
 
 def csr_from_links(parent, letter, family: str) -> tuple[np.ndarray, np.ndarray]:
@@ -361,7 +361,7 @@ def csr_from_links(parent, letter, family: str) -> tuple[np.ndarray, np.ndarray]
             or not ((0 <= parent[1:]) & (parent[1:] < np.arange(1, K))).all()
             or not ((1 <= letter[1:]) & (letter[1:] <= k)).all()):
         raise ValueError("links are not a tree's parents and letters in preorder")
-    corners = _joined_corners(parent, letter, family).ravel()
+    corners = _birth_faces(parent, letter, family)[:, _SPLIT[family][1]].ravel()
     n = nb + K
     # row v is its head (a boundary vertex's two ring neighbours, an internal
     # vertex's birth corners), then its tail: the later vertices born with v
@@ -479,6 +479,8 @@ def distance_matrix(m: StackMap, sources=None) -> np.ndarray:
 
 
 def bfs_distance(m: StackMap, u: int, v: int) -> int:
+    if not 0 <= v < m.n_vertices:
+        raise ValueError(f"vertex {v} is not a vertex id 0..{m.n_vertices - 1}")
     return int(distance_matrix(m, sources=[u])[0, v])
 
 
@@ -566,21 +568,7 @@ def _count_accepted(offspring, i: int, arity: int, table) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the face walk: rotation system and canonical drawing
-
-
-def _face_walk(m: StackMap):
-    """Yield (x, face, ccw) for every internal vertex x in preorder: the
-    corners of its birth face and whether they run counterclockwise."""
-    split, _, flips = _SPLIT[m.family]
-    stack = [(_ROOT_FACE[m.family], True)]  # faces still to visit
-    x = m.n_boundary
-    for c in m.tree.offspring:
-        face, ccw = stack.pop()
-        if c:
-            yield x, face, ccw
-            stack.extend(reversed([(f, ccw != flip) for f, flip in zip(split(face, x), flips)]))
-            x += 1
+# the birth faces again: rotation system and canonical drawing
 
 
 def rotation_system(m: StackMap) -> list[dict[int, int]]:
@@ -591,10 +579,14 @@ def rotation_system(m: StackMap) -> list[dict[int, int]]:
     is its joined corners in face order."""
     nb = m.n_boundary
     rot = [{(b - 1) % nb: (b + 1) % nb, (b + 1) % nb: (b - 1) % nb} for b in range(nb)]
-    attach = _SPLIT[m.family][1]
-    for x, face, ccw in _face_walk(m):
-        if not ccw:  # the same corners counterclockwise, the joined ones in place
-            face = face[:1] + face[:0:-1]
+    _, attach, flips = _SPLIT[m.family]
+    parent, letter = preorder_links(m.arity, m.tree.offspring)
+    faces = _birth_faces(parent, letter, m.family)
+    # a face runs clockwise if an odd number of faces on its root path flip
+    cw = _root_path_sum(np.maximum(parent, 0), np.array((0,) + flips)[letter]) % 2 == 1
+    # the same corners counterclockwise, the joined ones in place
+    faces[cw, 1:] = faces[cw, :0:-1]
+    for x, face in enumerate(faces.tolist(), nb):
         k = len(face)
         for i in range(k)[attach]:
             s, p = rot[face[i]], face[(i + 1) % k]
@@ -614,7 +606,8 @@ def canonical_drawing(m: StackMap) -> dict[int, tuple[float, float]]:
     Floats collapse deep nests (the triangulation path 1^60 puts 63
     vertices at 37 points); combinatorial code reads ``rotation_system``."""
     pos = dict(TRI_CORNERS if m.family == TRIANGULATION else QUAD_CORNERS)
-    for x, face, _ in _face_walk(m):
+    faces = _birth_faces(*preorder_links(m.arity, m.tree.offspring), m.family)
+    for x, face in enumerate(faces.tolist(), m.n_boundary):
         pos[x] = tuple(sum(c) / len(face) for c in zip(*(pos[v] for v in face)))
     return pos
 

@@ -55,14 +55,11 @@ def is_valid_tree(nodes, arity: int) -> bool:
 
 
 class _Navigation(NamedTuple):
-    """Navigation arrays of an ``OrderedTree``, built together in one
-    preorder pass and one reverse pass.
-
-    ``rank[i]`` is node i's rank among the internal nodes in preorder (-1
-    for a leaf), and ``child[k * r + l - 1]`` is the preorder index of child
-    l of the internal node of rank r: the preorder twin of
-    ``IncreasingTree.slot``.  The internal node of rank r is
-    ``child[k * r] - 1``, since a first child follows its parent.
+    """Navigation arrays of an ``OrderedTree``: ``rank[i]`` is node i's
+    rank among the internal nodes in preorder (-1 for a leaf), and
+    ``child[k * r + l - 1]`` is child l of the internal node of rank r, the
+    preorder twin of ``IncreasingTree.slot``; the node of rank r is
+    ``child[k * r] - 1``, as a first child follows its parent.
     """
 
     parent: list[int]
@@ -70,37 +67,6 @@ class _Navigation(NamedTuple):
     rank: list[int]
     child: list[int]
     end: list[int]
-
-
-def _navigation(arity: int, offspring: list[int]) -> _Navigation:
-    n = len(offspring)
-    # the arrays share the int objects of this one list instead of each
-    # making its own, which about halves their memory
-    index = list(range(n + 1))
-    parent = [-1] * n
-    letter = [0] * n
-    rank = [-1] * n
-    child = [0] * (n - 1)  # arity slots per internal node
-    internal: list[int] = []  # rank -> preorder index
-    slots: list[int] = []  # open child slots, the next one on top
-    for i, c in zip(index, offspring):
-        if i:
-            s = slots.pop()
-            child[s] = i
-            parent[i] = internal[s // arity]
-            letter[i] = s % arity + 1
-        if c:
-            r = len(internal)
-            rank[i] = index[r]
-            internal.append(i)
-            slots.extend(range(arity * r + arity - 1, arity * r - 1, -1))
-    # end[i]: one past the last node of the subtree of i, which is where the
-    # subtree of its last child ends; children have higher ranks, so one
-    # pass over the ranks from the last fills it
-    end = index[1:]
-    for r in range(len(internal) - 1, -1, -1):
-        end[internal[r]] = end[child[arity * r + arity - 1]]
-    return _Navigation(parent, letter, rank, child, end)
 
 
 class OrderedTree:
@@ -132,9 +98,24 @@ class OrderedTree:
         self._nav: _Navigation | None = None
 
     def _arrays(self) -> _Navigation:
-        """The navigation arrays, built on the first call."""
+        """The navigation arrays, built together on the first call from the
+        slot each node fills (``_slot_pairing``)."""
         if self._nav is None:
-            self._nav = _navigation(self.arity, self.offspring)
+            inner, slot, height, pops = _slot_pairing(self.arity, self.offspring)
+            n = len(slot)
+            parent = np.append(inner, -1)[slot // self.arity]  # the root's slot is -1
+            letter = (slot % self.arity + 1) * (slot >= 0)
+            rank = np.full(n, -1, dtype=np.int64)
+            rank[inner] = np.arange(len(inner))
+            child = np.empty(n - 1, dtype=np.int64)
+            child[slot[1:]] = np.arange(1, n)
+            # end[i], one past the subtree of i, is the first later position
+            # with one open slot less.  Sorted by (open slots, position), the
+            # positions are n (none open), then the pops', searched in order.
+            key = np.append(n, height[pops] * (n + 1) + pops)
+            end = np.empty(n, dtype=np.int64)
+            end[pops] = key[np.searchsorted(key, key[1:] - (n + 1))] % (n + 1)
+            self._nav = _Navigation(*(a.tolist() for a in (parent, letter, rank, child, end)))
         return self._nav
 
     @property
@@ -161,16 +142,22 @@ class OrderedTree:
         i + 1, each later one starts where its left sibling's subtree ends.
         """
         nav = self._arrays()
-        r = nav.rank[i]
+        r = nav.rank[self._node(i)]
         if r < 0:
             return ()
         return tuple(nav.child[self.arity * r:self.arity * (r + 1)])
 
     def subtree_end(self, i: int) -> int:
         """Index one past the last node of the subtree rooted at i."""
-        return self._arrays().end[i]
+        return self._arrays().end[self._node(i)]
+
+    def _node(self, i: int) -> int:
+        if not 0 <= i < len(self.offspring):
+            raise ValueError(f"node {i} is not a node id 0..{len(self.offspring) - 1}")
+        return i
 
     def word(self, i: int) -> Word:
+        i = self._node(i)
         parent, letter = self.parent, self.letter
         rev = []
         while i > 0:
@@ -339,7 +326,7 @@ class IncreasingTree:
         if not K:
             return [0]
         out = np.zeros(a * K + 1, dtype=np.int64)
-        out[self._preorder(np.asarray(self.slot, dtype=np.int64), leaves=True)] = a
+        out[self._preorder(self._slot_array(), leaves=True)] = a
         return out.tolist()
 
     def links(self) -> tuple[np.ndarray, np.ndarray]:
@@ -352,11 +339,25 @@ class IncreasingTree:
         parent = np.full(K, -1, dtype=np.int64)
         letter = np.zeros(K, dtype=np.int64)
         if K:
-            slot = np.asarray(self.slot, dtype=np.int64)
+            slot = self._slot_array()
             rank = self._preorder(slot, leaves=False)
             parent[rank[1:]] = rank[slot[1:] // a]
             letter[rank[1:]] = slot[1:] % a + 1
         return parent, letter
+
+    def _slot_array(self) -> np.ndarray:
+        """The slot list as an array; ValueError unless slot 0 is -1 and each
+        later node k fills a slot in 0..arity*k - 1 that no other fills."""
+        slot = np.asarray(self.slot, dtype=np.int64)
+        if slot[0] != -1:
+            raise ValueError(f"slot 0 is {slot[0]}, not -1 (the root)")
+        k = np.arange(1, len(slot))
+        if (bad := (slot[1:] < 0) | (slot[1:] >= self.arity * k)).any():
+            k = bad.argmax() + 1
+            raise ValueError(f"slot {slot[k]} of node {k} is outside 0..{self.arity * k - 1}")
+        if (twice := np.bincount(slot[1:]) > 1).any():
+            raise ValueError(f"slot {twice.argmax()} is filled twice")
+        return slot
 
     def _preorder(self, slot: np.ndarray, leaves: bool) -> np.ndarray:
         """Preorder position of each internal node, in insertion order, for
@@ -390,7 +391,7 @@ class IncreasingTree:
         """Depths of the internal nodes in insertion order."""
         if not self.slot:
             return []
-        slot = np.asarray(self.slot, dtype=np.int64)
+        slot = self._slot_array()
         parent = slot // self.arity
         parent[0] = 0
         edge = np.ones(len(slot), dtype=np.int64)
@@ -443,12 +444,13 @@ def _subtree_end(offspring, i: int) -> int:
     return i
 
 
-def preorder_links(arity: int, offspring) -> tuple[np.ndarray, np.ndarray]:
-    """Parent and letter of each internal node, indexed by preorder rank
-    among the internal nodes, as ``IncreasingTree.links`` gives them, read
-    off a preorder offspring sequence (any nonzero count is an internal
-    node).  ValueError if the sequence runs past the end of the tree or
-    stops before it.
+def _slot_pairing(arity: int, offspring):
+    """``(inner, slot, height, pops)`` of a preorder offspring sequence (a
+    nonzero count is an internal node): the internal nodes' positions; the
+    slot each node fills, ``arity * r + l - 1`` for child l of the internal
+    node of rank r (-1 for the root); the open slots before each of the
+    n + 1 positions; and the nodes in stable order of their slot's stack
+    position.  ValueError if the sequence runs on or stops early.
 
     The preorder is a walk over a stack of open child slots: each node takes
     the slot on top, and an internal node then pushes its ``arity`` child
@@ -458,7 +460,7 @@ def preorder_links(arity: int, offspring) -> tuple[np.ndarray, np.ndarray]:
     """
     internal = np.asarray(offspring) != 0
     n = len(internal)
-    height = np.ones(n + 1, dtype=np.int64)  # open slots before each node
+    height = np.ones(n + 1, dtype=np.int64)
     np.cumsum(np.where(internal, arity - 1, -1), out=height[1:])
     height[1:] += 1
     if (height[:n] < 1).any():
@@ -471,11 +473,20 @@ def preorder_links(arity: int, offspring) -> tuple[np.ndarray, np.ndarray]:
     # internal node of rank r
     pushed = np.zeros(arity * len(inner) + 1, dtype=np.int64)
     pushed[1:] = (top[inner, None] + np.arange(arity - 1, -1, -1)).ravel()
-    push = np.empty(n, dtype=np.int64)
-    push[_stable_argsort(top)] = _stable_argsort(pushed)
-    parent, letter = np.divmod(push[inner] - 1, arity)
+    pops = _stable_argsort(top)
+    slot = np.empty(n, dtype=np.int64)
+    slot[pops] = _stable_argsort(pushed) - 1
+    return inner, slot, height, pops
+
+
+def preorder_links(arity: int, offspring) -> tuple[np.ndarray, np.ndarray]:
+    """Parent and letter of each internal node, indexed by preorder rank
+    among the internal nodes, as ``IncreasingTree.links`` gives them, read
+    off an offspring sequence by ``_slot_pairing``, with its ValueErrors."""
+    inner, slot, _, _ = _slot_pairing(arity, offspring)
+    parent, letter = np.divmod(slot[inner], arity)
     letter += 1
-    letter[:1] = 0  # the root, taken from push 0
+    letter[:1] = 0  # the root, in slot -1
     return parent, letter
 
 

@@ -552,6 +552,16 @@ def test_bfs_marks_unreachable_and_rejects_bad_sources():
         distance_matrix(m, [4])
 
 
+def test_vertex_ids_out_of_range_rejected():
+    m = map_from_tree(OrderedTree(3, [3, 0, 0, 0]), TRIANGULATION)
+    for v in (-1, 4):
+        with pytest.raises(ValueError, match=f"vertex {v} is not a vertex id 0..3"):
+            m.degree(v)
+        with pytest.raises(ValueError, match=f"vertex {v} is not a vertex id 0..3"):
+            bfs_distance(m, 0, v)
+    assert (m.degree(3), bfs_distance(m, 0, 3)) == (3, 1)
+
+
 def test_distance_matrix_symmetric():
     t = sample_uniform_tree(3, 30, rng_from_seed(13))
     m = map_from_tree(t, TRIANGULATION)
@@ -638,6 +648,57 @@ def test_rotation_system_matches_drawing_angles(family, arity):
         n = (1, 5, 20, 50, 100)[seed % 5]
         m = map_from_tree(sample_uniform_tree(arity, n, rng_from_seed(70, seed)), family)
         assert rotation_system(m) == atan2_rotation(m)
+
+
+def _face_walk_reference(m: StackMap):
+    """Yield (x, face, ccw) for every internal vertex x in preorder: the
+    corners of its birth face and whether they run counterclockwise, by a
+    walk over a stack of the faces still to visit."""
+    split, _, flips = maps._SPLIT[m.family]
+    stack = [(maps._ROOT_FACE[m.family], True)]
+    x = m.n_boundary
+    for c in m.tree.offspring:
+        face, ccw = stack.pop()
+        if c:
+            yield x, face, ccw
+            stack.extend(reversed([(f, ccw != flip) for f, flip in zip(split(face, x), flips)]))
+            x += 1
+
+
+def _rotation_reference(m: StackMap) -> list[dict[int, int]]:
+    nb = m.n_boundary
+    rot = [{(b - 1) % nb: (b + 1) % nb, (b + 1) % nb: (b - 1) % nb} for b in range(nb)]
+    attach = maps._SPLIT[m.family][1]
+    for x, face, ccw in _face_walk_reference(m):
+        if not ccw:
+            face = face[:1] + face[:0:-1]
+        k = len(face)
+        for i in range(k)[attach]:
+            s, p = rot[face[i]], face[(i + 1) % k]
+            s[x], s[p] = s[p], x
+        joined = face[attach]
+        rot.append(dict(zip(joined, joined[1:] + joined[:1])))
+    return rot
+
+
+def _drawing_reference(m: StackMap) -> dict[int, tuple[float, float]]:
+    pos = dict(maps.TRI_CORNERS if m.family == TRIANGULATION else maps.QUAD_CORNERS)
+    for x, face, _ in _face_walk_reference(m):
+        pos[x] = tuple(sum(c) / len(face) for c in zip(*(pos[v] for v in face)))
+    return pos
+
+
+@pytest.mark.parametrize("family, arity", [(TRIANGULATION, 3), (QUADRANGULATION, 2)])
+def test_rotation_and_drawing_match_face_stack_walk(family, arity):
+    ts = [t for n in range(6) for t in enumerate_trees(arity, n)]
+    ts += [sample_uniform_tree(arity, n, rng_from_seed(71, n)) for n in (300, 3000)]
+    ts.append(nested_path(arity, 2000))
+    for t in ts:
+        m = map_from_tree(t, family)
+        # the same entries in the same order, and the same floats bit for bit
+        rows = [list(r.items()) for r in rotation_system(m)]
+        assert rows == [list(r.items()) for r in _rotation_reference(m)]
+        assert list(canonical_drawing(m).items()) == list(_drawing_reference(m).items())
 
 
 def test_growth_tree_map_consistency():

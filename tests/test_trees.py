@@ -56,6 +56,15 @@ def test_children_not_contiguous():
     assert [t.word(i) for i in kids] == [(1,), (2,), (3,)]
 
 
+def test_node_ids_out_of_range_rejected():
+    t = OrderedTree(3, [3, 0, 0, 0])
+    for i in (-1, -3, 4):
+        for call in (t.word, t.subtree_end, t.children):
+            with pytest.raises(ValueError, match=f"node {i} is not a node id 0..3"):
+                call(i)
+    assert (t.word(3), t.subtree_end(3), t.children(0)) == ((3,), 4, (1, 2, 3))
+
+
 def test_index_of_rejects_letters_outside_alphabet():
     t = OrderedTree(3, [3, 0, 0, 0])
     for w in [(0,), (-1,), (4,), (1, 1)]:
@@ -377,12 +386,41 @@ def _depths_reference(arity, slot):
     return depth
 
 
-def _links_reference(t):
-    """Parent rank and letter of each internal node of an OrderedTree, read
-    off its navigation arrays."""
-    rank = t._arrays().rank
-    inner = t.internal_indices()
-    return [rank[t.parent[i]] if i else -1 for i in inner], [t.letter[i] for i in inner]
+def _navigation_reference(arity, offspring):
+    """The navigation arrays of ``OrderedTree._arrays`` by a walk over the
+    stack of open child slots, and a reverse pass over the ranks for the
+    subtree ends."""
+    n = len(offspring)
+    parent = [-1] * n
+    letter = [0] * n
+    rank = [-1] * n
+    child = [0] * (n - 1)  # arity slots per internal node
+    internal = []  # rank -> preorder index
+    slots = []  # open child slots, the next one on top
+    for i, c in enumerate(offspring):
+        if i:
+            s = slots.pop()
+            child[s] = i
+            parent[i] = internal[s // arity]
+            letter[i] = s % arity + 1
+        if c:
+            r = len(internal)
+            rank[i] = r
+            internal.append(i)
+            slots.extend(range(arity * r + arity - 1, arity * r - 1, -1))
+    # the subtree of i ends where the subtree of its last child ends
+    end = list(range(1, n + 1))
+    for r in range(len(internal) - 1, -1, -1):
+        end[internal[r]] = end[child[arity * r + arity - 1]]
+    return parent, letter, rank, child, end
+
+
+def _links_reference(arity, offspring):
+    """Parent rank and letter of each internal node, read off the reference
+    navigation arrays."""
+    parent, letter, rank = _navigation_reference(arity, offspring)[:3]
+    inner = [i for i, c in enumerate(offspring) if c]
+    return [rank[parent[i]] if i else -1 for i in inner], [letter[i] for i in inner]
 
 
 def _check_against_reference(it):
@@ -390,7 +428,20 @@ def _check_against_reference(it):
     assert it.offspring() == offspring
     assert it.depths() == _depths_reference(it.arity, it.slot)
     parent, letter = it.links()
-    assert (parent.tolist(), letter.tolist()) == _links_reference(OrderedTree(it.arity, offspring))
+    assert (parent.tolist(), letter.tolist()) == _links_reference(it.arity, offspring)
+
+
+@pytest.mark.parametrize("slot, match", [
+    ([-1, -1], "slot -1 of node 1 is outside 0..2"),
+    ([-1, 0, 0], "slot 0 is filled twice"),
+    ([-1, 0, 6], "slot 6 of node 2 is outside 0..5"),
+    ([0, 0], "slot 0 is 0, not -1"),
+])
+def test_increasing_tree_rejects_a_slot_list_that_is_no_tree(slot, match):
+    it = IncreasingTree(3, slot)
+    for call in (it.offspring, it.links, it.depths, it.shape):
+        with pytest.raises(ValueError, match=match):
+            call()
 
 
 @pytest.mark.parametrize("arity", [2, 3, 4])
@@ -453,8 +504,17 @@ def test_preorder_links_match_navigation(arity):
     sampled = [sample_uniform_tree(arity, n, rng_from_seed(47, n)) for n in [10, 300, 5000]]
     for t in every + sampled:
         parent, letter = preorder_links(arity, t.offspring)
-        assert (parent.tolist(), letter.tolist()) == _links_reference(t)
+        assert (parent.tolist(), letter.tolist()) == _links_reference(arity, t.offspring)
     assert len(every) == sum(count_trees(arity, n) for n in range(7))
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_navigation_arrays_match_slot_stack_walk(arity):
+    every = [t for n in range(7) for t in enumerate_trees(arity, n)]
+    sampled = [sample_uniform_tree(arity, n, rng_from_seed(49, n)) for n in [10, 300, 5000]]
+    path = OrderedTree(arity, [arity] * 5000 + [0] * ((arity - 1) * 5000 + 1))  # 1^5000
+    for t in every + sampled + [path]:
+        assert tuple(t._arrays()) == _navigation_reference(arity, t.offspring)
 
 
 def test_stable_argsort_matches_numpy_at_every_width():
