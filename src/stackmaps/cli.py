@@ -31,8 +31,8 @@ ARITY = {"tri": 3, "quad": 2}
 # Inclusive ranges of the numeric flags.  The upper ends keep one run to
 # seconds and a few hundred MB (timed on a shared 2-vCPU x86_64 VM):
 # `sample --size 100000` takes about 0.6-1.1 s and 100-130 MB (either law
-# and family), `frag --k 100000` about 6-8 s and 300 MB, `ball --r 30` about
-# 0.5 s and 50 MB.
+# and family), `frag --k 100000` about 2.5-4 s and 170-210 MB (arity 2-3),
+# `ball --r 30` about 0.5 s and 50 MB.
 # (`enumerate --size` is bounded by trees.DEFAULT_EXHAUSTIVE_BOUND.)
 SIZE_RANGE = (0, 10**5)  # sample --size, draw --size
 FRAG_K_RANGE = (1, 10**5)

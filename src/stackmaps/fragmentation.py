@@ -13,73 +13,74 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 from .counting import histories_total
-from .trees import IncreasingTree, OrderedTree, Word
+from .trees import IncreasingTree, OrderedTree
 
 
 @dataclass
 class FragmentationTree:
-    """Recursive interval splitting record.
-
-    ``interval`` maps every node word to its half-open subinterval of
-    [0,1); ``splits`` maps internal words to their proportion vectors.
+    """Recursive interval splitting, held as an increasing tree: split k is
+    node k of ``IncreasingTree(arity, slot)``, with proportions ``splits[k]``.
+    The fragment in slot s (-1 for the root) is [lo[s + 1], hi[s + 1]), split
+    by node ``node[s + 1]``, or -1 while a leaf.  Words appear only in JSON.
     """
 
     arity: int
-    interval: dict[Word, tuple[float, float]] = field(
-        default_factory=lambda: {(): (0.0, 1.0)}
-    )
-    splits: dict[Word, tuple[float, ...]] = field(default_factory=dict)
+    slot: list[int] = field(default_factory=list)
+    splits: list[tuple[float, ...]] = field(default_factory=list)
+    lo: list[float] = field(default_factory=lambda: [0.0])
+    hi: list[float] = field(default_factory=lambda: [1.0])
+    node: list[int] = field(default_factory=lambda: [-1])
 
-    def leaves(self) -> list[Word]:
-        return sorted(w for w in self.interval if w not in self.splits)
+    def leaves(self) -> list[int]:
+        return [f - 1 for f, k in enumerate(self.node) if k < 0]
 
     def shape(self) -> OrderedTree:
-        # a fragment is split only after its parent, so ``splits`` is in
-        # insertion order
-        return IncreasingTree.from_skeleton(self.arity, self.splits).shape()
+        return IncreasingTree(self.arity, self.slot).shape()
 
-    def split_leaf(self, w: Word, proportions) -> None:
-        if w in self.splits:
-            raise ValueError(f"{w} already split")
-        a, b = self.interval[w]
-        self.splits[w] = tuple(proportions)
-        lo = a
-        for i, p in enumerate(proportions, start=1):
-            hi = b if i == self.arity else lo + p * (b - a)
-            self.interval[w + (i,)] = (lo, hi)
-            lo = hi
+    def split_leaf(self, s: int, proportions) -> None:
+        # the checks keep sibling left ends non-decreasing for the bisect
+        arity, ps = self.arity, tuple(proportions)
+        if len(ps) != arity or min(ps) < 0:
+            raise ValueError(f"proportions {ps} are not {arity} non-negative numbers")
+        if abs(sum(ps) - 1.0) > 1e-9:
+            raise ValueError(f"proportions {ps} do not sum to 1")
+        if not 0 <= s + 1 < len(self.node) or self.node[s + 1] >= 0:
+            raise ValueError(f"slot {s} holds no leaf")
+        self.node[s + 1] = len(self.slot)
+        self.node += [-1] * arity
+        self.slot.append(s)
+        self.splits.append(ps)
+        a, b = self.lo[s + 1], self.hi[s + 1]
+        ends = list(accumulate(ps[:-1], lambda lo, p: lo + p * (b - a), initial=a))
+        self.lo += ends
+        self.hi += ends[1:] + [b]
 
-    def leaf_containing(self, x: float) -> Word:
-        w: Word = ()
-        while w in self.splits:
-            for i in range(1, self.arity + 1):
-                a, b = self.interval[w + (i,)]
-                if a <= x < b or (i == self.arity and x >= a):
-                    w = w + (i,)
-                    break
-        return w
+    def leaf_containing(self, x: float) -> int:
+        """Slot of the leaf holding x: at each split, the last child with lo <= x."""
+        if not 0.0 <= x < 1.0:
+            raise ValueError(f"mark {x} is outside [0, 1)")
+        arity, lo, node = self.arity, self.lo, self.node
+        f = 0
+        while (k := node[f]) >= 0:
+            f = bisect_right(lo, x, arity * k + 1, arity * k + arity + 1) - 1
+        return f - 1
 
     def to_json_dict(self) -> dict:
-        # ``interval`` holds the root, then the children of each split in
-        # ``splits`` order, so each key is its parent's key plus one letter
-        # and ``key`` fills in the order of ``interval``; ``to_json`` sorts
-        # the keys
+        # parents split first: one pass names each fragment by its parent's key
         letters = [str(i) for i in range(1, self.arity + 1)]
-        key = {(): ""}
-        children = iter(self.interval)
-        next(children)
-        for w in self.splits:
-            parent = key[w]
-            for letter, child in zip(letters, children):
-                key[child] = parent + letter
+        key = [""]  # in the order of ``lo``
+        for s in self.slot:
+            key += [key[s + 1] + letter for letter in letters]
         return {
             "arity": self.arity,
-            "intervals": dict(zip(key.values(), map(list, self.interval.values()))),
-            "splits": {key[w]: list(s) for w, s in self.splits.items()},
+            "intervals": {k: [a, b] for k, a, b in zip(key, self.lo, self.hi)},
+            "splits": {key[s + 1]: list(p) for s, p in zip(self.slot, self.splits)},
         }
 
     def to_json(self) -> str:
@@ -105,6 +106,8 @@ def sample_split(arity: int, rng) -> tuple[float, ...]:
 def build_fragmentation_tree(arity: int, K: int, rng) -> FragmentationTree:
     """K-1 fragmentation steps: each step drops a uniform mark, splits the
     leaf fragment containing it with a fresh Dirichlet split."""
+    if arity not in (2, 3):
+        raise ValueError("arity must be 2 or 3")
     if K < 1:
         raise ValueError("K must be >= 1")
     ft = FragmentationTree(arity)

@@ -311,7 +311,7 @@ class IncreasingTree:
         """Internal-node words in insertion order: label(skeleton[k]) = k+1."""
         a = self.arity
         out: list[Word] = [ROOT] if self.slot else []
-        for s in self.slot[1:]:
+        for s in self._slot_array()[1:].tolist():
             out.append(out[s // a] + (s % a + 1,))
         return out
 
@@ -346,10 +346,11 @@ class IncreasingTree:
         return parent, letter
 
     def _slot_array(self) -> np.ndarray:
-        """The slot list as an array; ValueError unless slot 0 is -1 and each
-        later node k fills a slot in 0..arity*k - 1 that no other fills."""
+        """The slot list as an array; ValueError unless it is empty, or slot
+        0 is -1 and each later node k fills a slot in 0..arity*k - 1 that no
+        other fills."""
         slot = np.asarray(self.slot, dtype=np.int64)
-        if slot[0] != -1:
+        if slot.size and slot[0] != -1:
             raise ValueError(f"slot 0 is {slot[0]}, not -1 (the root)")
         k = np.arange(1, len(slot))
         if (bad := (slot[1:] < 0) | (slot[1:] >= self.arity * k)).any():

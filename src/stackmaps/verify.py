@@ -205,8 +205,10 @@ def check_frag_equality(level, mx):
 def check_frag_partition(level, mx):
     rng = trees.rng_from_seed(11)
     ft = fragmentation.build_fragmentation_tree(3, 200, rng)
-    lengths = [ft.interval[w][1] - ft.interval[w][0] for w in ft.leaves()]
-    ok = abs(sum(lengths) - 1.0) < 1e-12 and all(l >= 0 for l in lengths)
+    # the leaves tile [0, 1) exactly: each ends where the next begins
+    ends = sorted((ft.lo[s + 1], ft.hi[s + 1]) for s in ft.leaves())
+    ok = (ends[0][0] == 0.0 and ends[-1][1] == 1.0 and all(a <= b for a, b in ends)
+          and all(b == a for (_, b), (a, _) in zip(ends, ends[1:])))
     return ok, "K=200"
 
 

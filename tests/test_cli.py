@@ -190,6 +190,27 @@ def test_growth_sample_golden_bytes(family, size, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == GROWTH_SAMPLE_SHA256[family, size]
 
 
+# sha256 of `frag --arity A --k K --seed 1` stdout, fixed while fragmentation
+# trees were word-keyed dicts
+FRAG_OUTPUT_SHA256 = {
+    (2, 1): "8c4d37dc78feb991fdd44b025b4bdd781c866b9f10e1a7068957e691c4e9fbab",
+    (2, 2): "9f34cae219f8a3c995ff89e4298d48ea1c71ba46039efc7995c95d688e85d11a",
+    (2, 100): "15802433918842a69013df3cd953c531ecb69e355168fb02eb5e97e7ddc93154",
+    (2, 40000): "d4cb19bbafba80868fcdc3c575da94b87b61ce440926c7738aeeb0c703a739c9",
+    (3, 1): "b2b6920ada4d98c6e692147e651cbe5a2a60be4d191de371f331926eb7ac10ba",
+    (3, 2): "858a3d266d8cdbbc9b749d36a2c75798fc2c9dd4adc860e6bd0333538c43eeb8",
+    (3, 100): "6683bd1f961eae8a945d6c45925ffe934171f8d2f5af7842a8552c3c134a14f1",
+    (3, 40000): "5b669db6c884cde495fb495106cd7572671460de0b95bc3043d9a61d16f3d1ac",
+}
+
+
+@pytest.mark.parametrize("arity, k", sorted(FRAG_OUTPUT_SHA256))
+def test_frag_golden_bytes(arity, k, capsys):
+    assert main(["frag", "--arity", str(arity), "--k", str(k), "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == FRAG_OUTPUT_SHA256[arity, k]
+
+
 # sha256 of the map commands' stdout (JSON edges and SVG lines), fixed
 # before every reader moved onto StackMap.graph
 MAP_OUTPUT_SHA256 = {

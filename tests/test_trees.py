@@ -439,7 +439,8 @@ def _check_against_reference(it):
 ])
 def test_increasing_tree_rejects_a_slot_list_that_is_no_tree(slot, match):
     it = IncreasingTree(3, slot)
-    for call in (it.offspring, it.links, it.depths, it.shape):
+    for call in (it.offspring, it.links, it.depths, it.shape,
+                 lambda: it.skeleton, lambda: it.labels):
         with pytest.raises(ValueError, match=match):
             call()
 
