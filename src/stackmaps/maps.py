@@ -497,11 +497,7 @@ def degree_via_tree(t: OrderedTree, u: Word, family: str) -> int:
     its active diagonal (position automaton in _QUAD_DEGREE; accepted words
     are exactly {1,2} ∪ {1,2}{1,2}1({1,2}2)*).
     """
-    u = tuple(u)
-    i = t.index_of(u)
-    if not t.offspring[i]:
-        raise ValueError(f"{u} is not an internal node")
-    return _degree(t.offspring, i, family)
+    return _degree(t.offspring, t.index_of(tuple(u)), family)
 
 
 # Word automata as transition tables (next, accept): state 0 is the start,
@@ -531,7 +527,12 @@ _DEGREE_TABLE = {TRIANGULATION: _TRI_DEGREE, QUADRANGULATION: _QUAD_DEGREE}
 
 def _degree(offspring, i: int, family: str) -> int:
     """Map degree of the vertex of internal node i: the arity (its birth
-    edges) plus the internal descendants the family's automaton accepts."""
+    edges) plus the internal descendants the family's automaton accepts.
+    ValueError if i is a leaf, which has no vertex, or no node id."""
+    if not 0 <= i < len(offspring):
+        raise ValueError(f"node {i} is not a node id 0..{len(offspring) - 1}")
+    if not offspring[i]:
+        raise ValueError(f"node {i} is a leaf, which has no vertex")
     k = _ARITY[family]
     return k + _count_accepted(offspring, i, k, _DEGREE_TABLE[family])
 

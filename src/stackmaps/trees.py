@@ -73,28 +73,19 @@ class OrderedTree:
     """Full ordered tree of fixed arity, nodes indexed 0..n-1 in preorder.
 
     The tree is its offspring sequence: ``offspring[i]`` is 0 (leaf) or
-    ``arity``.  The constructor checks it with one pass over the
-    Lukasiewicz walk.  The navigation arrays are built together the first
-    time anything reads them: ``parent[i]`` / ``letter[i]`` give the parent
-    index and the child letter (root: parent -1, letter 0), and a child
-    table gives each internal node's children, so a word is looked up with
-    one table read per letter.
+    ``arity``, and the constructor checks it with ``_open_slots``, the one
+    check of the tree condition.  The navigation arrays are built together
+    the first time anything reads them: ``parent[i]`` / ``letter[i]`` give
+    the parent index and the child letter (root: parent -1, letter 0), and a
+    child table gives each internal node's children, so a word is looked up
+    with one table read per letter.
     """
 
     __slots__ = ("arity", "offspring", "_nav")
 
     def __init__(self, arity: int, offspring):
         self.arity = arity
-        self.offspring = offspring.tolist() if isinstance(offspring, np.ndarray) else list(offspring)
-        open_slots = 1  # children still to place
-        for c in self.offspring:
-            if c != 0 and c != arity:
-                raise ValueError(f"offspring count {c} invalid for arity {arity}")
-            if not open_slots:
-                raise ValueError("offspring sequence ends early")
-            open_slots += c - 1
-        if open_slots:
-            raise ValueError("offspring sequence is incomplete")
+        self.offspring = _open_slots(arity, offspring)[0].tolist()
         self._nav: _Navigation | None = None
 
     def _arrays(self) -> _Navigation:
@@ -242,29 +233,18 @@ class OrderedTree:
 
     @classmethod
     def from_parens(cls, arity: int, s: str) -> "OrderedTree":
-        """Inverse of ``to_parens``: ValueError on any other string."""
-        offspring: list[int] = []
-        pending: list[int] = []  # children still due, per open internal node
-        for ch in s:
-            if ch == ")":
-                if not pending or pending[-1]:
-                    raise ValueError("unexpected ')' in parenthesis string")
-                pending.pop()
-                continue
-            if pending:
-                if not pending[-1]:
-                    raise ValueError("missing ')' in parenthesis string")
-                pending[-1] -= 1
-            if ch == "(":
-                offspring.append(arity)
-                pending.append(arity)
-            elif ch == "o":
-                offspring.append(0)
-            else:
-                raise ValueError(f"bad character {ch!r}")
-        if pending:
-            raise ValueError("missing ')' in parenthesis string")
-        return cls(arity, offspring)
+        """Inverse of ``to_parens``: ValueError on any other string, which
+        is decoded ('(' internal, 'o' a leaf, ')' dropped), checked as an
+        offspring sequence, and must be what ``to_parens`` writes for it."""
+        count = {"(": arity, "o": 0}
+        try:
+            offspring = [count[ch] for ch in s if ch != ")"]
+        except KeyError as e:
+            raise ValueError(f"bad character {e.args[0]!r}") from None
+        t = cls(arity, offspring)
+        if t.to_parens() != s:
+            raise ValueError("')' out of place in parenthesis string")
+        return t
 
 
 @dataclass
@@ -322,12 +302,13 @@ class IncreasingTree:
     def offspring(self) -> list[int]:
         """Preorder offspring sequence of the shape; a single leaf when there
         is no internal node."""
-        a, K = self.arity, len(self.slot)
-        if not K:
-            return [0]
-        out = np.zeros(a * K + 1, dtype=np.int64)
-        out[self._preorder(self._slot_array(), leaves=True)] = a
-        return out.tolist()
+        return self._offspring().tolist()
+
+    def _offspring(self) -> np.ndarray:
+        out = np.zeros(self.arity * len(self.slot) + 1, dtype=np.int64)
+        if self.slot:
+            out[self._preorder(self._slot_array(), leaves=True)] = self.arity
+        return out
 
     def links(self) -> tuple[np.ndarray, np.ndarray]:
         """Parent and letter of each internal node, both indexed by its
@@ -386,7 +367,7 @@ class IncreasingTree:
         return _root_path_sum(parent, gap)
 
     def shape(self) -> OrderedTree:
-        return OrderedTree(self.arity, self.offspring())
+        return OrderedTree(self.arity, self._offspring())
 
     def depths(self) -> list[int]:
         """Depths of the internal nodes in insertion order."""
@@ -445,13 +426,37 @@ def _subtree_end(offspring, i: int) -> int:
     return i
 
 
+def _open_slots(arity: int, offspring) -> tuple[np.ndarray, np.ndarray]:
+    """The one check of the tree condition on a preorder offspring sequence:
+    the sequence as an int64 array and the open child slots before each of
+    its n + 1 positions (1 before the root; each node fills one and opens
+    its count).  ValueError at the first fault in sequence order: a count
+    other than 0 or ``arity``, a node after the slots ran out, or slots
+    still open at the end."""
+    off = np.asarray(offspring)
+    n, internal = len(off), off != 0
+    height = np.ones(n + 1, dtype=np.int64)  # summed in place: a fresh array costs more
+    np.multiply(internal, arity, out=height[1:])
+    height[1:] -= 1
+    np.cumsum(height, out=height)
+    invalid = internal & (off != arity)
+    if (fault := invalid | (height[:n] < 1)).any():
+        i = fault.argmax()
+        if invalid[i]:
+            raise ValueError(f"offspring count {off[i]} invalid for arity {arity}")
+        raise ValueError("offspring sequence ends early")
+    if height[n]:
+        raise ValueError("offspring sequence is incomplete")
+    return off.astype(np.int64, copy=False), height
+
+
 def _slot_pairing(arity: int, offspring):
-    """``(inner, slot, height, pops)`` of a preorder offspring sequence (a
-    nonzero count is an internal node): the internal nodes' positions; the
-    slot each node fills, ``arity * r + l - 1`` for child l of the internal
-    node of rank r (-1 for the root); the open slots before each of the
-    n + 1 positions; and the nodes in stable order of their slot's stack
-    position.  ValueError if the sequence runs on or stops early.
+    """``(inner, slot, height, pops)`` of a preorder offspring sequence: the
+    internal nodes' positions; the slot each node fills, ``arity * r + l -
+    1`` for child l of the internal node of rank r (-1 for the root); the
+    open slots before each of the n + 1 positions; and the nodes in stable
+    order of their slot's stack position.  ValueError from ``_open_slots``
+    if the sequence is no tree's.
 
     The preorder is a walk over a stack of open child slots: each node takes
     the slot on top, and an internal node then pushes its ``arity`` child
@@ -459,17 +464,10 @@ def _slot_pairing(arity: int, offspring):
     alternate, so the k-th pop there takes the k-th push there, and one
     stable sort of each side by position pairs them all.
     """
-    internal = np.asarray(offspring) != 0
-    n = len(internal)
-    height = np.ones(n + 1, dtype=np.int64)
-    np.cumsum(np.where(internal, arity - 1, -1), out=height[1:])
-    height[1:] += 1
-    if (height[:n] < 1).any():
-        raise ValueError("offspring sequence runs past the end of the tree")
-    if height[n]:
-        raise ValueError("offspring sequence is incomplete")
+    off, height = _open_slots(arity, offspring)
+    n = len(off)
     top = height[:n] - 1  # the stack position of each node's slot
-    inner = np.flatnonzero(internal)
+    inner = np.flatnonzero(off)
     # push 0 is the root's slot, push 1 + arity*r + l - 1 is child l of the
     # internal node of rank r
     pushed = np.zeros(arity * len(inner) + 1, dtype=np.int64)

@@ -35,6 +35,7 @@ from stackmaps.maps import (
     tree_from_map,
 )
 from stackmaps.passage import gamma_prime_literal, quad_root_distance, tri_root_distance
+from stackmaps.stats import degree_from_offspring
 from stackmaps.trees import (
     IncreasingTree,
     OrderedTree,
@@ -352,6 +353,27 @@ def degree_via_tree_literal_quad(t: OrderedTree, u) -> int:
     return 2 + maps._count_accepted(t.offspring, i, 2, _QUAD_LITERAL)
 
 
+@pytest.mark.parametrize("family, offspring, i, match", [
+    (TRIANGULATION, [3, 0, 0, 0], 1, "node 1 is a leaf"),
+    (TRIANGULATION, [3, 0, 0, 0], 3, "node 3 is a leaf"),
+    (TRIANGULATION, [3, 0, 0, 0], -1, "node -1 is not a node id 0..3"),
+    (TRIANGULATION, [3, 0, 0, 0], 4, "node 4 is not a node id 0..3"),
+    (QUADRANGULATION, np.array([2, 0, 2, 0, 0]), 1, "node 1 is a leaf"),
+    (QUADRANGULATION, np.array([2, 0, 2, 0, 0]), -5, "node -5 is not a node id 0..4"),
+])
+def test_degree_rejects_leaves_and_ids_outside_the_tree(family, offspring, i, match):
+    # a leaf has no vertex; it and index -1 used to give the root's degree
+    with pytest.raises(ValueError, match=match):
+        degree_from_offspring(offspring, i, family)
+    assert degree_from_offspring(offspring, 0, family) == 3  # the root's vertex still has one
+
+
+def test_degree_via_tree_rejects_a_leaf():
+    t = OrderedTree(3, [3, 0, 0, 0])
+    with pytest.raises(ValueError, match="node 2 is a leaf"):
+        degree_via_tree(t, (2,), TRIANGULATION)
+
+
 def test_degree_literal_quad_disagrees_somewhere():
     # the simple block language overcounts/undercounts on some trees
     found = False
@@ -523,9 +545,14 @@ def test_csr_from_links_rejects_non_preorder_links(parent, letter):
 
 @pytest.mark.parametrize("family, offspring, match", [
     (TRIANGULATION, [3, 0, 0], "incomplete"),
-    (TRIANGULATION, [0, 0], "past the end"),
-    (QUADRANGULATION, [2, 0, 0, 0], "past the end"),
+    (TRIANGULATION, [0, 0], "ends early"),
+    (QUADRANGULATION, [2, 0, 0, 0], "ends early"),
     (TRIANGULATION, [], "incomplete"),
+    # these three used to give the map of the one-node tree
+    (TRIANGULATION, [5, 0, 0, 0], "count 5 invalid for arity 3"),
+    (TRIANGULATION, [1, 0, 0, 0], "count 1 invalid for arity 3"),
+    (TRIANGULATION, [3.5, 0, 0, 0], "count 3.5 invalid for arity 3"),
+    (QUADRANGULATION, [3, 0, 0, 0], "count 3 invalid for arity 2"),
 ])
 def test_csr_rejects_malformed_offspring(family, offspring, match):
     with pytest.raises(ValueError, match=match):

@@ -1,7 +1,9 @@
 """Ordered trees, samplers, and structural helpers."""
 
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,16 +125,56 @@ def _reference_check_message(arity, offspring):
 
 @pytest.mark.parametrize("arity", [2, 3])
 def test_constructor_rejects_invalid_offspring(arity):
-    # every sequence of length <= 7 over {0, 1, arity}, the empty one included
+    # every sequence of length <= 7 over {0, 1, arity}, the empty one
+    # included: the constructor, the links and the map builder all give the
+    # reference's verdict and message (the last two used to take any nonzero
+    # count for ``arity`` and to word the early end otherwise)
+    family = {3: TRIANGULATION, 2: QUADRANGULATION}[arity]
+    entry_points = [
+        lambda off: OrderedTree(arity, off),
+        lambda off: preorder_links(arity, off),
+        lambda off: maps.csr_from_offspring(off, family),
+    ]
     for n in range(8):
         for off in itertools.product((0, 1, arity), repeat=n):
             want = _reference_check_message(arity, off)
+            for build in entry_points:
+                if want is None:
+                    build(off)
+                else:
+                    with pytest.raises(ValueError) as err:
+                        build(off)
+                    assert str(err.value) == want, off
             if want is None:
                 assert len(OrderedTree(arity, off)) == n
-            else:
-                with pytest.raises(ValueError) as err:
-                    OrderedTree(arity, off)
-                assert str(err.value) == want, off
+
+
+@pytest.mark.parametrize("offspring", [[3.5, 0, 0, 0], np.array([3.5, 0, 0, 0]), [3, 0.5, 0, 0]])
+def test_fractional_counts_are_not_truncated(offspring):
+    # int(3.5) == 3 would read a one-node tree
+    bad = next(c for c in offspring if c not in (0, 3))
+    for build in (OrderedTree, preorder_links):
+        with pytest.raises(ValueError, match=f"^offspring count {bad} invalid for arity 3$"):
+            build(3, offspring)
+    assert OrderedTree(3, np.array([3.0, 0, 0, 0])).offspring == [3, 0, 0, 0]
+
+
+def test_one_function_raises_the_tree_condition():
+    # the tree condition on offspring sequences is checked in
+    # trees._open_slots alone: no other function may raise its messages
+    messages = ("invalid for arity", "ends early", "is incomplete")
+    raisers = []
+    for path in sorted(Path(trees_mod.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Raise):
+                    texts = [c.value for c in ast.walk(node)
+                             if isinstance(c, ast.Constant) and isinstance(c.value, str)]
+                    raisers += [(path.name, func.name, m) for m in messages
+                                if any(m in text for text in texts)]
+    assert sorted(set(raisers)) == [("trees.py", "_open_slots", m) for m in sorted(messages)]
 
 
 def test_empty_tree_rejected():
@@ -235,6 +277,26 @@ def test_from_parens_accepts_exactly_to_parens(arity, max_len):
             else:
                 with pytest.raises(ValueError):
                     OrderedTree.from_parens(arity, s)
+
+
+@pytest.mark.parametrize("arity, s, message", [
+    (3, "(oox)", "bad character 'x'"),
+    (2, "(o.o)", "bad character '.'"),
+    (3, "(ooo)o", "offspring sequence ends early"),
+    (2, "((oo", "offspring sequence is incomplete"),
+    (3, "(oo(oo)", "offspring sequence is incomplete"),
+    (3, "(ooo", "')' out of place in parenthesis string"),
+    (3, "(o)oo", "')' out of place in parenthesis string"),
+    (2, "(oo))", "')' out of place in parenthesis string"),
+    (2, ")(oo)", "')' out of place in parenthesis string"),
+    (2, "o)", "')' out of place in parenthesis string"),
+])
+def test_from_parens_messages(arity, s, message):
+    # a bad character, then a fault of the decoded offspring sequence, then
+    # a ')' anywhere to_parens would not write it
+    with pytest.raises(ValueError) as err:
+        OrderedTree.from_parens(arity, s)
+    assert str(err.value) == message
 
 
 def test_is_valid_tree():
