@@ -26,7 +26,7 @@ from .passage import (
 )
 
 FAMILIES = {"tri": maps.TRIANGULATION, "quad": maps.QUADRANGULATION}
-ARITY = {"tri": 3, "quad": 2}
+ARITY = {name: maps._ARITY[family] for name, family in FAMILIES.items()}
 
 # Inclusive ranges of the numeric flags.  The upper ends keep one run to
 # seconds and a few hundred MB (timed on a shared 2-vCPU x86_64 VM):

@@ -87,8 +87,7 @@ def map_ball_code(m: StackMap, r: int):
     Two balls get the same code iff they are isomorphic as rooted planar
     maps, so the code is safe to compare across maps.
     """
-    return _ball_code(distance_matrix(m, sources=[0])[0].tolist(), rotation_system(m),
-                      m.root_edge[1], r)
+    return _map_balls(m)[0](r)
 
 
 def _ball_code(dist, rot, first, r: int):
@@ -118,15 +117,16 @@ def _ball_code(dist, rot, first, r: int):
 
 #: face-type fold of each arity
 _FOLD = {3: tri_type, 2: quad_type}
-#: the corners a vertex is joined to: 1 + their least type entry is its passage value
-_JOINED = {3: slice(0, 3), 2: slice(1, 4, 2)}
+#: the family of each arity; 1 + the least type entry of a face's joined
+#: corners (``maps._SPLIT``) is the passage value of its vertex
+_FAMILY = {k: family for family, k in maps_mod._ARITY.items()}
 
 
 def _ball_nodes(t: OrderedTree, r: int) -> list[int]:
     """Preorder indices of the nodes of t whose passage value is at most r,
     in one preorder pass that folds each node's face type from its parent's
     and skips the subtree of a face with 1 + min(type) > r."""
-    fold, joined = _FOLD[t.arity], _JOINED[t.arity]
+    fold, joined = _FOLD[t.arity], maps_mod._SPLIT[_FAMILY[t.arity]][1]
     parent, letter = t.parent, t.letter
     types = [fold(())] * len(t)
     out, i = [], 0
@@ -213,5 +213,4 @@ def infinite_map_ball(t: OrderedTree, r: int) -> StackMap:
             i = parent[i]
     # the truncated tree: the root and every child of a chosen node
     offspring = [t.arity * chosen[i] for i in range(len(t)) if i == 0 or chosen[parent[i]]]
-    family = maps_mod.TRIANGULATION if t.arity == 3 else maps_mod.QUADRANGULATION
-    return maps_mod.map_from_tree(OrderedTree(t.arity, offspring), family)
+    return maps_mod.map_from_tree(OrderedTree(t.arity, offspring), _FAMILY[t.arity])

@@ -28,12 +28,11 @@ from .trees import (IncreasingTree, OrderedTree, Word, _root_path_sum, _stable_a
 TRIANGULATION = "triangulation"
 QUADRANGULATION = "quadrangulation"
 
-_ARITY = {TRIANGULATION: 3, QUADRANGULATION: 2}
-_N_BOUNDARY = {TRIANGULATION: 3, QUADRANGULATION: 4}
 # corner tuples are ordered so the root vertex (id 0) sits where the type
 # seed expects it: triangle (E0,E1,E2) -> (0,1,1); square (B,C,D,A) ->
 # (1,2,1,0) with A the root vertex
 _ROOT_FACE = {TRIANGULATION: (0, 1, 2), QUADRANGULATION: (1, 2, 3, 0)}
+_N_BOUNDARY = {family: len(face) for family, face in _ROOT_FACE.items()}
 
 
 def _split_tri(f, x):
@@ -53,6 +52,14 @@ _SPLIT = {
     TRIANGULATION: (_split_tri, slice(0, 3), (False, False, False)),
     QUADRANGULATION: (_split_quad, slice(1, 4, 2), (False, True)),
 }
+_ARITY = {family: len(flips) for family, (_, _, flips) in _SPLIT.items()}  # a flag per child
+
+
+def _arity(family: str) -> int:
+    """The family's arity; ValueError for an unknown family."""
+    if family not in _ARITY:
+        raise ValueError(f"unknown family {family!r}")
+    return _ARITY[family]
 
 
 class NotStackMapError(ValueError):
@@ -76,9 +83,7 @@ class StackMap:
     root_edge = (0, 1)
 
     def __init__(self, family: str, tree: OrderedTree | None = None):
-        if family not in _ARITY:
-            raise ValueError(f"unknown family {family!r}")
-        k = _ARITY[family]
+        k = _arity(family)
         if tree is None:
             tree = OrderedTree.single_leaf(k)
         elif tree.arity != k:
@@ -173,7 +178,7 @@ class StackMap:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "StackMap":
-        t = OrderedTree.from_parens(_ARITY[d["family"]], d["tree"])
+        t = OrderedTree.from_parens(_arity(d["family"]), d["tree"])
         return map_from_tree(t, d["family"])
 
 
@@ -201,7 +206,7 @@ def map_from_history(history, family: str) -> StackMap:
     order.  It depends only on the set of faces, so vertex ids follow the
     preorder of the tree, not the insertion order.  ValueError as in
     ``IncreasingTree.from_skeleton``."""
-    return StackMap(family, IncreasingTree.from_skeleton(_ARITY[family], history).shape())
+    return StackMap(family, IncreasingTree.from_skeleton(_arity(family), history).shape())
 
 
 def map_from_tree(t: OrderedTree, family: str) -> StackMap:
@@ -272,9 +277,9 @@ def tree_from_map(m: StackMap) -> OrderedTree:
     if len(order) != n - nb:
         x = next(x for x in range(nb, n) if not removed[x])
         raise NotStackMapError(f"internal vertex {x} cannot be peeled (degree {deg[x]} left)")
-    for b in range(nb):
+    for b, ring in enumerate(_RING_ROWS[m.family]):
         live = [y for y in flat[ends[b]:ends[b + 1]] if not removed[y]]
-        if sorted(live) != sorted(((b - 1) % nb, (b + 1) % nb)):
+        if sorted(live) != sorted(ring):
             raise NotStackMapError(
                 f"boundary vertex {b} keeps neighbours {live} after peeling, "
                 "not just its two boundary neighbours"
@@ -304,8 +309,8 @@ def tree_from_map(m: StackMap) -> OrderedTree:
 
 # rows of the boundary vertices: the ring edges 0-1, 1-2, ..., (nb-1)-0 are
 # made in that order, so vertex 0 lists 1 before nb-1
-_RING_ROWS = {TRIANGULATION: ((1, 2), (0, 2), (1, 0)),
-              QUADRANGULATION: ((1, 3), (0, 2), (1, 3), (2, 0))}
+_RING_ROWS = {family: ((1, nb - 1),) + tuple((b - 1, (b + 1) % nb) for b in range(1, nb))
+              for family, nb in _N_BOUNDARY.items()}
 
 
 def _birth_faces(parent: np.ndarray, letter: np.ndarray, family: str) -> np.ndarray:
@@ -505,24 +510,21 @@ def degree_via_tree(t: OrderedTree, u: Word, family: str) -> int:
 # (None: no extension is accepted), and accept[state] says whether a word
 # ending in that state is accepted.
 
-# language: some first letter i, then letters avoiding i.  State i is the
-# first letter; every state past the start is accepting.
-_TRI_DEGREE = (
-    (1, 2, 3, None, 1, 1, 2, None, 2, 3, 3, None),
-    (False, True, True, True),
-)
 
-# A vertex born in face u sits at tuple position 2 of both children of u and
-# gains an edge exactly when a descendant face holding it at position 2 or 4
-# is subdivided.  State p is the position.  Position flow under subdivision:
-# 2 -> 1 (both letters), 1 -> 4 (letter 1 only), 4 -> 3 (both),
-# 3 -> 4 (letter 2 only); otherwise the vertex leaves the face.
-_QUAD_DEGREE = (
-    (2, 2, 4, None, 1, 1, None, 4, 3, 3),
-    (False, False, True, False, True),
-)
+def _degree_table(family: str):
+    """The family's degree automaton, read off its subdivision rule: state
+    0 is the node's vertex, state 1 + p that vertex at corner p of the
+    current face.  Letter l moves it to its corner in child l (None if child
+    l lacks it), and subdividing the face gives it an edge iff p is joined."""
+    split, attach, _ = _SPLIT[family]
+    states = range(-1, _N_BOUNDARY[family])
+    source = split(tuple(states[1:]), -1)  # the new vertex is corner -1
+    nxt = tuple(1 + c.index(p) if p in c else None for p in states for c in source)
+    return nxt, tuple(p in states[1:][attach] for p in states)
 
-_DEGREE_TABLE = {TRIANGULATION: _TRI_DEGREE, QUADRANGULATION: _QUAD_DEGREE}
+
+_DEGREE_TABLE = {family: _degree_table(family) for family in _SPLIT}
+_TRI_DEGREE, _QUAD_DEGREE = _DEGREE_TABLE[TRIANGULATION], _DEGREE_TABLE[QUADRANGULATION]
 
 
 def _degree(offspring, i: int, family: str) -> int:
@@ -534,6 +536,8 @@ def _degree(offspring, i: int, family: str) -> int:
     if not offspring[i]:
         raise ValueError(f"node {i} is a leaf, which has no vertex")
     k = _ARITY[family]
+    if offspring[i] != k:
+        raise ValueError(f"node {i} has {offspring[i]} children; a {family} node has {k}")
     return k + _count_accepted(offspring, i, k, _DEGREE_TABLE[family])
 
 
@@ -578,8 +582,7 @@ def rotation_system(m: StackMap) -> list[dict[int, int]]:
     inserting x in a face puts x, at each joined corner v, between v's two
     neighbours on the face (in the face's orientation), and x's own order
     is its joined corners in face order."""
-    nb = m.n_boundary
-    rot = [{(b - 1) % nb: (b + 1) % nb, (b + 1) % nb: (b - 1) % nb} for b in range(nb)]
+    rot = [{u: v, v: u} for u, v in _RING_ROWS[m.family]]
     _, attach, flips = _SPLIT[m.family]
     parent, letter = preorder_links(m.arity, m.tree.offspring)
     faces = _birth_faces(parent, letter, m.family)
@@ -587,7 +590,7 @@ def rotation_system(m: StackMap) -> list[dict[int, int]]:
     cw = _root_path_sum(np.maximum(parent, 0), np.array((0,) + flips)[letter]) % 2 == 1
     # the same corners counterclockwise, the joined ones in place
     faces[cw, 1:] = faces[cw, :0:-1]
-    for x, face in enumerate(faces.tolist(), nb):
+    for x, face in enumerate(faces.tolist(), m.n_boundary):
         k = len(face)
         for i in range(k)[attach]:
             s, p = rot[face[i]], face[(i + 1) % k]

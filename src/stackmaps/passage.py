@@ -20,6 +20,15 @@ from .trees import Word, lca
 FULL_MASK = 0b111
 
 
+def _check_letters(word: Word, k: int) -> None:
+    """ValueError, as ``tri_type`` and ``quad_type`` raise it, naming the
+    first letter of the word outside 1..k.  A valid word costs one set."""
+    alphabet = range(1, k + 1)
+    if not set(word).issubset(alphabet):
+        bad = next(x for x in word if x not in alphabet)
+        raise ValueError(f"letter {bad} not in {{{','.join(map(str, alphabet))}}}")
+
+
 # ---------------------------------------------------------------------------
 # ternary words
 
@@ -30,7 +39,9 @@ def tau_decomposition(word: Word) -> list[int]:
     tau_2 is the position of the first letter 1; afterwards a block closes
     at the first position where all of 1,2,3 have appeared since the
     previous boundary.  Only boundaries <= len(word) are returned.
+    ValueError on a letter outside {1,2,3}.
     """
+    _check_letters(word, 3)
     taus = [0]
     seen = 0
     waiting_for_one = True
@@ -126,7 +137,9 @@ def gamma_prime_literal(word: Word) -> int:
     """Block count over W_{1,2} = {12,21}* {11,22} {1,2}: maximal run of
     alternating pairs, one doubled pair, one closing letter.  A leftover
     suffix counts as one extra partial block unless it is a clean run of
-    alternating pairs (possibly empty)."""
+    alternating pairs (possibly empty).  ValueError on a letter outside
+    {1,2}."""
+    _check_letters(word, 2)
     n = len(word)
     count = 1  # boundary at position 0
     pos = 0

@@ -600,6 +600,8 @@ def sample_increasing_tree(arity: int, K: int, rng) -> IncreasingTree:
     fresh leaf s' + j.  One stable sort of the picks gives each step the
     previous step with the same pick.
     """
+    if arity < 2:
+        raise ValueError(f"arity must be >= 2, got {arity}")
     if K < 0:
         raise ValueError("K must be >= 0")
     if not K:

@@ -57,7 +57,7 @@ def check_quad_parity(level, mx):
 
 
 def check_roundtrip(level, mx):
-    for fam, arity in ((maps.TRIANGULATION, 3), (maps.QUADRANGULATION, 2)):
+    for fam, arity in maps._ARITY.items():
         for n in range(mx + 1):
             for t in trees.enumerate_trees(arity, n):
                 if maps.tree_from_map(maps.map_from_tree(t, fam)) != t:
@@ -107,7 +107,7 @@ def check_pair_bound(level, mx):
 
 
 def check_degrees(level, mx):
-    for fam, arity in ((maps.TRIANGULATION, 3), (maps.QUADRANGULATION, 2)):
+    for fam, arity in maps._ARITY.items():
         for n in range(1, mx + 1):
             for t in trees.enumerate_trees(arity, n):
                 m = maps.map_from_tree(t, fam)
@@ -240,7 +240,7 @@ def check_ultrametric(level, mx):
 def check_drawing_planar(level, mx):
     rng = trees.rng_from_seed(9)
     n = 60 if level == "quick" else 200
-    for fam, arity in ((maps.TRIANGULATION, 3), (maps.QUADRANGULATION, 2)):
+    for fam, arity in maps._ARITY.items():
         t = trees.sample_uniform_tree(arity, n, rng)
         m = maps.map_from_tree(t, fam)
         pos = maps.canonical_drawing(m)
@@ -277,7 +277,7 @@ def rotation_defect(m, rot) -> str:
 def check_rotation_planar(level, mx):
     rng = trees.rng_from_seed(9)
     n, k = (60, 200) if level == "quick" else (200, 2000)
-    for fam, a in ((maps.TRIANGULATION, 3), (maps.QUADRANGULATION, 2)):
+    for fam, a in maps._ARITY.items():
         path = trees.OrderedTree(a, [a] * k + [0] * ((a - 1) * k + 1))  # internal: 1^j, j < k
         for t in (trees.sample_uniform_tree(a, n, rng), path):
             m = maps.map_from_tree(t, fam)

@@ -374,6 +374,22 @@ def test_degree_via_tree_rejects_a_leaf():
         degree_via_tree(t, (2,), TRIANGULATION)
 
 
+@pytest.mark.parametrize("arity, family", [(3, QUADRANGULATION), (2, TRIANGULATION)],
+                         ids=["ternary-as-quad", "binary-as-tri"])
+def test_degree_rejects_a_tree_of_the_other_arity(arity, family):
+    # read with the other family's automaton, the ternary tree gave 3, 3, 2, 2
+    # and the binary one 6, 4, 3, 3
+    words = [(), (1,), (1, 2), (2,)]
+    t = OrderedTree.from_internal_words(arity, words)
+    for w in words:
+        i = t.index_of(w)
+        match = f"node {i} has {arity} children; a {family} node has {maps._ARITY[family]}"
+        with pytest.raises(ValueError, match=match):
+            degree_via_tree(t, w, family)
+        with pytest.raises(ValueError, match=match):
+            degree_from_offspring(np.array(t.offspring), i, family)
+
+
 def test_degree_literal_quad_disagrees_somewhere():
     # the simple block language overcounts/undercounts on some trees
     found = False
@@ -409,6 +425,17 @@ def test_degree_tables_accept_their_languages(arity, table, language):
                 expected = sum(1 for v in internal if len(v) > d and v[:d] == u
                                and re.fullmatch(language, "".join(map(str, v[d:]))))
                 assert maps._count_accepted(t.offspring, i, arity, table) == expected, (t, u)
+
+
+def test_tables_read_off_the_subdivision_rule_are_the_hand_typed_ones():
+    # the degree tables, state numbering included, so _count_accepted walks
+    # as before; the ring rows in the order the ring edges are made
+    assert maps._TRI_DEGREE == ((1, 2, 3, None, 1, 1, 2, None, 2, 3, 3, None),
+                                (False, True, True, True))
+    assert maps._QUAD_DEGREE == ((2, 2, 4, None, 1, 1, None, 4, 3, 3),
+                                 (False, False, True, False, True))
+    assert maps._RING_ROWS == {TRIANGULATION: ((1, 2), (0, 2), (1, 0)),
+                               QUADRANGULATION: ((1, 3), (0, 2), (1, 3), (2, 0))}
 
 
 def test_mean_degree_bound():
@@ -621,6 +648,16 @@ def test_from_json_rejects_bad_tree_strings(tree):
         StackMap.from_json_dict({"family": TRIANGULATION, "tree": tree})
 
 
+def test_unknown_family_is_a_value_error():
+    # the family is checked before its arity is looked up
+    with pytest.raises(ValueError, match="unknown family 'x'"):
+        StackMap.from_json_dict({"family": "x", "tree": "(ooo)"})
+    with pytest.raises(ValueError, match="unknown family 'x'"):
+        map_from_history([()], "x")
+    with pytest.raises(ValueError, match="unknown family 'x'"):
+        StackMap("x")
+
+
 def test_drawing_and_svg():
     t = sample_uniform_tree(3, 25, rng_from_seed(15))
     m = map_from_tree(t, TRIANGULATION)
@@ -693,8 +730,7 @@ def _face_walk_reference(m: StackMap):
 
 
 def _rotation_reference(m: StackMap) -> list[dict[int, int]]:
-    nb = m.n_boundary
-    rot = [{(b - 1) % nb: (b + 1) % nb, (b + 1) % nb: (b - 1) % nb} for b in range(nb)]
+    rot = [{u: v, v: u} for u, v in maps._RING_ROWS[m.family]]
     attach = maps._SPLIT[m.family][1]
     for x, face, ccw in _face_walk_reference(m):
         if not ccw:

@@ -1,9 +1,12 @@
 """Passage statistics on node addresses and their distance identities."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stackmaps.maps import QUADRANGULATION, TRIANGULATION, _ARITY, _ROOT_FACE, _SPLIT, distance_matrix, theta
 from stackmaps.passage import (
     gamma,
     gamma_pair,
@@ -122,3 +125,44 @@ def test_quad_parity(letters):
     d = quad_root_distance(u)
     assert 1 <= d <= len(u) + 2
     assert (d - 1 - len(u)) % 2 == 0
+
+
+@pytest.mark.parametrize("f, word, alphabet", [
+    (gamma, (4,), "{1,2,3}"),
+    (tau_decomposition, (0, 5), "{1,2,3}"),
+    (tri_type, (0, 5), "{1,2,3}"),
+    (gamma_prime_literal, (3, 3, 3), "{1,2}"),
+    (quad_type, (3, 3, 3), "{1,2}"),
+], ids=["gamma", "tau", "tri_type", "gamma_prime_literal", "quad_type"])
+def test_passage_counts_reject_letters_outside_their_alphabet(f, word, alphabet):
+    # gamma((4,)) was 1, tau_decomposition((0, 5)) [0] and
+    # gamma_prime_literal((3, 3, 3)) 2; all now fail as the type folds do
+    with pytest.raises(ValueError, match=f"letter {word[0]} not in {re.escape(alphabet)}"):
+        f(word)
+
+
+def _rule_types(family, max_len):
+    """(word, corner distances to the root vertex of the face it reaches),
+    for every word up to max_len, by folding the subdivision rule: the new
+    vertex is at 1 + the least distance of the corners it is joined to."""
+    split, attach, _ = _SPLIT[family]
+    dist = distance_matrix(theta(family), sources=[0])[0]
+    level = [((), tuple(int(dist[v]) for v in _ROOT_FACE[family]))]
+    for _ in range(max_len):
+        yield from level
+        level = [(word + (letter,), child)
+                 for word, face in level
+                 for letter, child in enumerate(split(face, 1 + min(face[attach])), 1)]
+    yield from level
+
+
+@pytest.mark.parametrize("family, fold, max_len", [
+    (TRIANGULATION, tri_type, 8), (QUADRANGULATION, quad_type, 12)], ids=["tri", "quad"])
+def test_type_folds_are_the_subdivision_rule(family, fold, max_len):
+    # the hand-written folds against maps._SPLIT on every word up to max_len,
+    # the default start types (the empty word) included
+    n = 0
+    for word, types in _rule_types(family, max_len):
+        assert fold(word) == types, word
+        n += 1
+    assert n == sum(_ARITY[family] ** k for k in range(max_len + 1))

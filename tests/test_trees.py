@@ -424,6 +424,17 @@ def test_increasing_tree_sampler_property(arity, K, seed):
     assert rng.random() == ref_rng.random()
 
 
+@pytest.mark.parametrize("arity", [1, 0, -1])
+@pytest.mark.parametrize("K", [0, 6])
+def test_increasing_tree_rejects_an_arity_it_cannot_grow(arity, K):
+    # arity 1 gave a divide-by-zero warning and the slot list [-1, 0, 0, ...],
+    # arity 0 numpy's "high <= 0"; the error comes before any draw
+    rng, ref_rng = rng_from_seed(32), rng_from_seed(32)
+    with pytest.raises(ValueError, match=f"arity must be >= 2, got {arity}"):
+        sample_increasing_tree(arity, K, rng)
+    assert rng.random() == ref_rng.random()
+
+
 def _offspring_reference(arity, slot):
     """Preorder offspring sequence by a stack walk over a slot-to-node table."""
     child = [-1] * (arity * len(slot))  # node in each slot, -1 for a leaf
