@@ -122,11 +122,18 @@ _FOLD = {3: tri_type, 2: quad_type}
 _FAMILY = {k: family for family, k in maps_mod._ARITY.items()}
 
 
+def _fold(arity: int):
+    """The face-type fold of ``arity``; ValueError for an arity with none."""
+    if arity not in _FOLD:
+        raise ValueError(f"arity must be {' or '.join(map(str, sorted(_FOLD)))}, got {arity}")
+    return _FOLD[arity]
+
+
 def _ball_nodes(t: OrderedTree, r: int) -> list[int]:
     """Preorder indices of the nodes of t whose passage value is at most r,
     in one preorder pass that folds each node's face type from its parent's
     and skips the subtree of a face with 1 + min(type) > r."""
-    fold, joined = _FOLD[t.arity], maps_mod._SPLIT[_FAMILY[t.arity]][1]
+    fold, joined = _fold(t.arity), maps_mod._SPLIT[_FAMILY[t.arity]][1]
     parent, letter = t.parent, t.letter
     types = [fold(())] * len(t)
     out, i = [], 0
@@ -157,7 +164,7 @@ def sample_spine_tree(arity: int, r: int, rng, cap: int = 10**6):
     internal node fills in draw order, and the spine's word."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    fold = _FOLD[arity]
+    fold = _fold(arity)
     slot: list[int] = []
     budget = [cap]
     spine: list[int] = []

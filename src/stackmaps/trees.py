@@ -9,7 +9,6 @@ is computed on demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -106,7 +105,9 @@ class OrderedTree:
             key = np.append(n, height[pops] * (n + 1) + pops)
             end = np.empty(n, dtype=np.int64)
             end[pops] = key[np.searchsorted(key, key[1:] - (n + 1))] % (n + 1)
-            self._nav = _Navigation(*(a.tolist() for a in (parent, letter, rank, child, end)))
+            ids = np.arange(-1, n + 1).astype(object)  # -1..n: the lists share these ints
+            self._nav = _Navigation(
+                *(ids[a + 1].tolist() for a in (parent, letter, rank, child, end)))
         return self._nav
 
     @property
@@ -247,21 +248,41 @@ class OrderedTree:
         return t
 
 
-@dataclass
 class IncreasingTree:
-    """Leaf-growth tree, held as one flat list in insertion order.
+    """Leaf-growth tree, held as one read-only int64 array in insertion order.
 
     Internal node k (k = 0..K-1) is the one inserted at step k, node 0
     being the root, so labels increase along branches.  ``slot[k] =
     arity * parent + letter - 1`` names the leaf it replaced, child
     ``letter`` of internal node ``parent``; ``slot[0]`` is -1, and an empty
-    list is the single leaf.  The word views ``skeleton`` and ``labels`` are
-    built on demand, for the API, and ``from_skeleton`` is the one builder
-    from words.
+    array is the single leaf.  The constructor is the one check of a slot
+    list: ValueError unless it is empty, or slot 0 is -1 and each later node
+    k fills a slot in 0..arity*k - 1 that no other fills.  The word views
+    ``skeleton`` and ``labels`` are built on demand, for the API, and
+    ``from_skeleton`` is the one builder from words.
     """
 
-    arity: int
-    slot: list[int]
+    __slots__ = ("arity", "slot")
+
+    def __init__(self, arity: int, slot):
+        slot = np.array(slot, dtype=np.int64)
+        if slot.size and slot[0] != -1:
+            raise ValueError(f"slot 0 is {slot[0]}, not -1 (the root)")
+        k = np.arange(1, len(slot))
+        if (bad := (slot[1:] < 0) | (slot[1:] >= arity * k)).any():
+            k = bad.argmax() + 1
+            raise ValueError(f"slot {slot[k]} of node {k} is outside 0..{arity * k - 1}")
+        if (twice := np.bincount(slot[1:]) > 1).any():
+            raise ValueError(f"slot {twice.argmax()} is filled twice")
+        slot.flags.writeable = False
+        self.arity, self.slot = arity, slot
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, IncreasingTree) and self.arity == other.arity
+                and np.array_equal(self.slot, other.slot))
+
+    def __repr__(self) -> str:
+        return f"IncreasingTree(arity={self.arity}, K={len(self.slot)})"
 
     @classmethod
     def from_skeleton(cls, arity: int, words) -> "IncreasingTree":
@@ -290,8 +311,8 @@ class IncreasingTree:
     def skeleton(self) -> list[Word]:
         """Internal-node words in insertion order: label(skeleton[k]) = k+1."""
         a = self.arity
-        out: list[Word] = [ROOT] if self.slot else []
-        for s in self._slot_array()[1:].tolist():
+        out: list[Word] = [ROOT] if len(self.slot) else []
+        for s in self.slot[1:].tolist():
             out.append(out[s // a] + (s % a + 1,))
         return out
 
@@ -306,8 +327,7 @@ class IncreasingTree:
 
     def _offspring(self) -> np.ndarray:
         out = np.zeros(self.arity * len(self.slot) + 1, dtype=np.int64)
-        if self.slot:
-            out[self._preorder(self._slot_array(), leaves=True)] = self.arity
+        out[self._preorder()] = self.arity
         return out
 
     def links(self) -> tuple[np.ndarray, np.ndarray]:
@@ -316,51 +336,34 @@ class IncreasingTree:
         ``letter[r]`` of the node of rank ``parent[r]`` (the root, rank 0,
         has parent -1 and letter 0).  These are the arrays
         ``preorder_links`` reads off the offspring sequence."""
-        a, K = self.arity, len(self.slot)
-        parent = np.full(K, -1, dtype=np.int64)
-        letter = np.zeros(K, dtype=np.int64)
-        if K:
-            slot = self._slot_array()
-            rank = self._preorder(slot, leaves=False)
-            parent[rank[1:]] = rank[slot[1:] // a]
-            letter[rank[1:]] = slot[1:] % a + 1
+        a, slot = self.arity, self.slot
+        pos = self._preorder()
+        inner = np.zeros(a * len(slot) + 1, dtype=np.int64)
+        inner[pos] = 1
+        rank = (inner.cumsum() - 1)[pos]
+        parent = np.full(len(slot), -1, dtype=np.int64)
+        letter = np.zeros(len(slot), dtype=np.int64)
+        parent[rank[1:]] = rank[slot[1:] // a]
+        letter[rank[1:]] = slot[1:] % a + 1
         return parent, letter
 
-    def _slot_array(self) -> np.ndarray:
-        """The slot list as an array; ValueError unless it is empty, or slot
-        0 is -1 and each later node k fills a slot in 0..arity*k - 1 that no
-        other fills."""
-        slot = np.asarray(self.slot, dtype=np.int64)
-        if slot.size and slot[0] != -1:
-            raise ValueError(f"slot 0 is {slot[0]}, not -1 (the root)")
-        k = np.arange(1, len(slot))
-        if (bad := (slot[1:] < 0) | (slot[1:] >= self.arity * k)).any():
-            k = bad.argmax() + 1
-            raise ValueError(f"slot {slot[k]} of node {k} is outside 0..{self.arity * k - 1}")
-        if (twice := np.bincount(slot[1:]) > 1).any():
-            raise ValueError(f"slot {twice.argmax()} is filled twice")
-        return slot
-
-    def _preorder(self, slot: np.ndarray, leaves: bool) -> np.ndarray:
-        """Preorder position of each internal node, in insertion order, for
-        the slot list as an array: among all nodes if ``leaves``, else among
-        the internal nodes alone.
+    def _preorder(self) -> np.ndarray:
+        """Preorder position of each internal node among all nodes, in
+        insertion order.
 
         A slot holding node k spans a * (internal nodes under k) + 1 nodes
-        of the preorder, an empty slot 1 (without the leaves: the internal
-        nodes under k, and 0).  Node k comes 1 + (the spans of its left
-        siblings) after its parent, so its position is that gap summed over
-        its root path.  Only the subtree counts take a Python pass, in
-        reverse insertion order since children come after parents.
+        of the preorder, an empty slot 1.  Node k comes 1 + (the spans of
+        its left siblings) after its parent, so its position is that gap
+        summed over its root path.  Only the subtree counts take a Python
+        pass, in reverse insertion order since children come after parents.
         """
-        a, K = self.arity, len(slot)
-        parent = slot // a
-        parent[0] = 0
+        a, slot, K = self.arity, self.slot, len(self.slot)
+        parent = np.maximum(slot // a, 0)  # the root, in slot -1, is its own
         count = [1] * K  # internal nodes in each subtree
         for k, p in zip(range(K - 1, 0, -1), reversed(parent.tolist())):
             count[p] += count[k]
-        span = np.full(a * K, int(leaves), dtype=np.int64)
-        span[slot[1:]] = (a if leaves else 1) * np.array(count[1:], dtype=np.int64) + leaves
+        span = np.ones(a * K, dtype=np.int64)
+        span[slot[1:]] = a * np.array(count[1:], dtype=np.int64) + 1
         before = span.reshape(K, a).cumsum(axis=1).ravel() - span  # left siblings'
         gap = np.zeros(K, dtype=np.int64)
         gap[1:] = 1 + before[slot[1:]]
@@ -371,14 +374,11 @@ class IncreasingTree:
 
     def depths(self) -> list[int]:
         """Depths of the internal nodes in insertion order."""
-        if not self.slot:
-            return []
-        slot = self._slot_array()
-        parent = slot // self.arity
-        parent[0] = 0
-        edge = np.ones(len(slot), dtype=np.int64)
-        edge[0] = 0
-        return _root_path_sum(parent, edge).tolist()
+        return self._depths().tolist()
+
+    def _depths(self) -> np.ndarray:
+        slot = self.slot  # the root, in slot -1, is its own parent, with no edge up
+        return _root_path_sum(np.maximum(slot // self.arity, 0), (slot >= 0).astype(np.int64))
 
 
 def _root_path_sum(parent: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -565,6 +565,10 @@ def sample_offspring_sequence(arity: int, n_internal: int, rng) -> np.ndarray:
     -1) is shuffled and the unique rotation starting after the first minimum
     of the partial sums is an excursion, giving exact uniformity.
     """
+    if arity < 2:
+        raise ValueError(f"arity must be >= 2, got {arity}")
+    if n_internal < 0:
+        raise ValueError(f"n_internal must be >= 0, got {n_internal}")
     n_nodes = arity * n_internal + 1
     steps = np.full(n_nodes, -1, dtype=np.int64)
     steps[:n_internal] = arity - 1
@@ -614,7 +618,7 @@ def sample_increasing_tree(arity: int, K: int, rng) -> IncreasingTree:
     prev[order[1:][same]] = order[:-1][same] + 1
     swapped = (prev > 0) & (picks[prev - 1] != (arity - 1) * prev)
     fresh = np.minimum(picks // (arity - 1), step - 1) + picks
-    return IncreasingTree(arity, [-1] + np.where(swapped, arity * prev - 1, fresh).tolist())
+    return IncreasingTree(arity, np.append(-1, np.where(swapped, arity * prev - 1, fresh)))
 
 
 class CapExceeded(RuntimeError):
@@ -627,6 +631,8 @@ def sample_gw_tree(arity: int, rng, cap: int = 10**6) -> OrderedTree:
 
     Raises CapExceeded when the node count passes ``cap`` (critical GW trees
     have infinite expected size)."""
+    if arity < 2:
+        raise ValueError(f"arity must be >= 2, got {arity}")
     offspring: list[int] = []
     open_slots = 1
     while open_slots:

@@ -344,6 +344,38 @@ def test_verify_quick_exit_0():
     assert all(ln.startswith("PASS") for ln in lines)
 
 
+VERIFY_QUICK_STDOUT = (
+    "PASS trees.enum-counts  (n<=5)\n"
+    "PASS passage.gamma-eq-type  (depth<=7)\n"
+    "PASS passage.tri-type-invariant  (depth<=8)\n"
+    "PASS passage.quad-parity  (depth<=10)\n"
+    "PASS maps.euler  (40 growth steps)\n"
+    "PASS maps.roundtrip  (exhaustive n<=4)\n"
+    "PASS maps.root-distance  (exhaustive n<=4)\n"
+    "PASS maps.pair-bound  (exhaustive n<=4)\n"
+    "PASS maps.degrees  (exhaustive n<=4)\n"
+    "PASS maps.mean-degree  (3 sampled maps)\n"
+    "PASS maps.drawing-planar  (n=60 both families)\n"
+    "PASS maps.rotation-planar  (n=60 and the path 1^200, both families)\n"
+    "PASS counting.histories  (K<=5)\n"
+    "PASS counting.forest-consistency  (n<=7)\n"
+    "PASS stats.pmf-sums\n"
+    "PASS stats.finite-degree-exhaustive  (maps with 8 faces)\n"
+    "PASS stats.urn-index-shift  (shift=1)\n"
+    "PASS frag.pmf-equality  (compositions of <= 6)\n"
+    "PASS frag.interval-partition  (K=200)\n"
+    "PASS localtopo.ball-monotone  (r<=5)\n"
+    "PASS localtopo.ultrametric  (4-map fixture set)\n"
+    "21/21 checks passed\n"
+)
+
+
+def test_verify_quick_prints_every_check_line():
+    # the whole stdout, so a changed bound, label or verdict shows
+    r = run_cli(["verify", "--level", "quick"])
+    assert (r.returncode, r.stdout) == (0, VERIFY_QUICK_STDOUT), r.stderr
+
+
 def test_main_in_process():
     assert main(["count", "--what", "trees", "--n", "4"]) == 0
     with pytest.raises(SystemExit) as e:

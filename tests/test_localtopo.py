@@ -344,3 +344,16 @@ def test_spine_tree_quad_family():
     m = infinite_map_ball(t, 4)
     assert m.family == QUADRANGULATION
     assert m.n_vertices > 4
+
+
+@pytest.mark.parametrize("arity", [1, 4])
+def test_entry_points_reject_an_arity_with_no_face_fold(arity):
+    # the spine sampler raises before any draw
+    rng, ref_rng = rng_from_seed(91), rng_from_seed(91)
+    t = OrderedTree(arity, [arity] + [0] * arity)
+    match = f"arity must be 2 or 3, got {arity}"
+    for call in (lambda: sample_spine_tree(arity, 2, rng),
+                 lambda: gamma_ball(t, 2), lambda: infinite_map_ball(t, 2)):
+        with pytest.raises(ValueError, match=match):
+            call()
+    assert rng.random() == ref_rng.random()

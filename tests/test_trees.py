@@ -197,6 +197,13 @@ def test_navigation_arrays_built_on_first_use():
     assert t.parent is parent  # built once
 
 
+@pytest.mark.parametrize("arity", [2, 3])
+def test_navigation_lists_share_one_set_of_ints(arity):
+    # a tolist() per list would make a new int per entry, about twice the memory
+    t = sample_uniform_tree(arity, 1000, rng_from_seed(34))
+    assert len({id(x) for l in t._arrays() for x in l}) <= len(t) + 2
+
+
 def test_from_internal_words_matches_offspring():
     internal = {(), (2,), (2, 2)}
     t = OrderedTree.from_internal_words(3, internal)
@@ -407,7 +414,7 @@ def test_increasing_tree_matches_per_step_reference(arity, K):
     it = sample_increasing_tree(arity, K, rng)
     skeleton = _increasing_skeleton_reference(arity, K, ref_rng)
     assert it.skeleton == skeleton
-    assert IncreasingTree.from_skeleton(arity, skeleton).slot == it.slot
+    assert IncreasingTree.from_skeleton(arity, skeleton) == it
     assert rng.random() == ref_rng.random()
     assert it.shape() == OrderedTree.from_internal_words(arity, skeleton)
     assert it.depths() == [len(w) for w in skeleton]
@@ -420,7 +427,7 @@ def test_increasing_tree_sampler_property(arity, K, seed):
     rng, ref_rng = rng_from_seed(seed), rng_from_seed(seed)
     it = sample_increasing_tree(arity, K, rng)
     skeleton = _increasing_skeleton_reference(arity, K, ref_rng)
-    assert it.slot == IncreasingTree.from_skeleton(arity, skeleton).slot
+    assert it == IncreasingTree.from_skeleton(arity, skeleton)
     assert rng.random() == ref_rng.random()
 
 
@@ -497,9 +504,9 @@ def _links_reference(arity, offspring):
 
 
 def _check_against_reference(it):
-    offspring = _offspring_reference(it.arity, it.slot)
+    offspring = _offspring_reference(it.arity, it.slot.tolist())
     assert it.offspring() == offspring
-    assert it.depths() == _depths_reference(it.arity, it.slot)
+    assert it.depths() == _depths_reference(it.arity, it.slot.tolist())
     parent, letter = it.links()
     assert (parent.tolist(), letter.tolist()) == _links_reference(it.arity, offspring)
 
@@ -511,11 +518,28 @@ def _check_against_reference(it):
     ([0, 0], "slot 0 is 0, not -1"),
 ])
 def test_increasing_tree_rejects_a_slot_list_that_is_no_tree(slot, match):
-    it = IncreasingTree(3, slot)
-    for call in (it.offspring, it.links, it.depths, it.shape,
-                 lambda: it.skeleton, lambda: it.labels):
-        with pytest.raises(ValueError, match=match):
-            call()
+    with pytest.raises(ValueError, match=match):
+        IncreasingTree(3, slot)
+
+
+def test_increasing_tree_holds_a_read_only_int64_copy(monkeypatch):
+    seen = []
+
+    class Recording(IncreasingTree):
+        def shape(self):
+            seen.append(self)
+            return super().shape()
+
+    monkeypatch.setattr(maps, "IncreasingTree", Recording)
+    t = sample_uniform_tree(3, 30, rng_from_seed(44))
+    assert tree_from_map(map_from_tree(t, TRIANGULATION)) == t
+    it = sample_increasing_tree(3, 30, rng_from_seed(44))
+    for tree in [it, IncreasingTree.from_skeleton(3, it.skeleton), *seen]:
+        assert tree.slot.dtype == np.int64 and not tree.slot.flags.writeable
+    slot = np.array([-1, 0, 1])
+    tree = IncreasingTree(3, slot)
+    slot[2] = 2  # the caller's array stays its own
+    assert tree.slot.tolist() == [-1, 0, 1] and tree != IncreasingTree(3, slot)
 
 
 @pytest.mark.parametrize("arity", [2, 3, 4])
@@ -566,7 +590,7 @@ def test_offspring_on_deep_paths(arity, first, monkeypatch):
         return np.asarray(path_sum(parent.view(Counted), weight))
 
     monkeypatch.setattr(trees_mod, "_root_path_sum", counting)
-    assert it.offspring() == _offspring_reference(arity, it.slot)
+    assert it.offspring() == _offspring_reference(arity, it.slot.tolist())
     assert it.depths() == list(range(K))
     # depth 4999 needs ceil(log2 4999) = 13 rounds, plus the test that ends them
     assert checks == [math.ceil(math.log2(K - 1)) + 1] * 2
@@ -617,6 +641,21 @@ def test_sample_gw_tree_mean_size():
         sizes.append(len(t.internal_words()))
     assert min(sizes) == 0
     assert max(sizes) > 10
+
+
+@pytest.mark.parametrize("draw, match", [
+    (lambda rng: sample_uniform_tree(0, 5, rng), "arity must be >= 2, got 0"),
+    (lambda rng: sample_uniform_tree(1, 5, rng), "arity must be >= 2, got 1"),
+    (lambda rng: sample_offspring_sequence(3, -1, rng), "n_internal must be >= 0, got -1"),
+    (lambda rng: sample_gw_tree(0, rng), "arity must be >= 2, got 0"),
+    (lambda rng: sample_gw_tree(1, rng), "arity must be >= 2, got 1"),
+], ids=["uniform-arity-0", "uniform-arity-1", "offspring-n-minus-1", "gw-arity-0", "gw-arity-1"])
+def test_tree_samplers_reject_what_they_cannot_sample(draw, match):
+    # the error comes before any draw
+    rng, ref_rng = rng_from_seed(35), rng_from_seed(35)
+    with pytest.raises(ValueError, match=match):
+        draw(rng)
+    assert rng.random() == ref_rng.random()
 
 
 def test_rng_determinism():
