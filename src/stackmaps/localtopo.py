@@ -61,13 +61,13 @@ def _tree_balls(t: OrderedTree):
     """(r -> ball code of t at radius r, height of t).  The code is the
     preorder offspring sequence of t cut at depth r: equal for two trees iff
     their nodes of depth <= r are."""
-    parent = t.parent
+    parent, offspring = t.parent, t.offspring.tolist()
     depth = [0] * len(t)
     for i in range(1, len(t)):
         depth[i] = depth[parent[i]] + 1
 
     def ball(r: int) -> list[int]:
-        return [c if d < r else 0 for c, d in zip(t.offspring, depth) if d <= r]
+        return [c if d < r else 0 for c, d in zip(offspring, depth) if d <= r]
 
     return ball, max(depth)
 

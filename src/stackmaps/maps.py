@@ -117,7 +117,7 @@ class StackMap:
     def leaf_faces(self) -> list[Word]:
         """Words of the current finite faces, in lexicographic order."""
         words = self.tree.words()
-        return [words[i] for i, c in enumerate(self.tree.offspring) if not c]
+        return [words[i] for i in np.flatnonzero(self.tree.offspring == 0).tolist()]
 
     def word_of(self, vid: int) -> Word:
         """Birth-face word of an internal vertex, in O(depth): vertex
@@ -197,7 +197,8 @@ def grow(m: StackMap, face: Word) -> StackMap:
         raise ValueError(f"no face with word {face}") from None
     if t.offspring[i]:
         raise ValueError(f"face {face} was already subdivided")
-    off = t.offspring[:i] + [t.arity] + [0] * t.arity + t.offspring[i + 1:]
+    off = np.insert(t.offspring, i + 1, [0] * t.arity)
+    off[i] = t.arity
     return StackMap(m.family, OrderedTree(t.arity, off))
 
 
@@ -530,15 +531,17 @@ _TRI_DEGREE, _QUAD_DEGREE = _DEGREE_TABLE[TRIANGULATION], _DEGREE_TABLE[QUADRANG
 def _degree(offspring, i: int, family: str) -> int:
     """Map degree of the vertex of internal node i: the arity (its birth
     edges) plus the internal descendants the family's automaton accepts.
-    ValueError if i is a leaf, which has no vertex, or no node id."""
+    ValueError if i is a leaf, which has no vertex, or no node id.  The walk
+    reads a memoryview, whose entries are Python ints, as a list's are."""
     if not 0 <= i < len(offspring):
         raise ValueError(f"node {i} is not a node id 0..{len(offspring) - 1}")
     if not offspring[i]:
         raise ValueError(f"node {i} is a leaf, which has no vertex")
     k = _ARITY[family]
-    if offspring[i] != k:
+    if offspring[i] != k:  # read before the int64 cast, which would truncate 3.5
         raise ValueError(f"node {i} has {offspring[i]} children; a {family} node has {k}")
-    return k + _count_accepted(offspring, i, k, _DEGREE_TABLE[family])
+    walk = memoryview(np.ascontiguousarray(offspring, dtype=np.int64))
+    return k + _count_accepted(walk, i, k, _DEGREE_TABLE[family])
 
 
 def _count_accepted(offspring, i: int, arity: int, table) -> int:

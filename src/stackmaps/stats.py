@@ -390,7 +390,7 @@ def _typical_distance(seed, sizes, reps):
 def _depth(arity, seed, n, reps, window):
     mean, se = _mean_se(_replicas(
         lambda rng: float(np.mean(
-            trees_mod.sample_increasing_tree(arity, n, rng)._depths()[max(n - window, 0):])),
+            trees_mod.sample_increasing_tree(arity, n, rng).depths()[max(n - window, 0):])),
         seed, reps))
     if arity == 3:
         refs = [{"name": "centering", "value": 1.5 * log(n), "provenance": "analytic-clt"}]
@@ -455,7 +455,7 @@ def _subtree_size(seed, n, reps, kmax):
     emp = EmpiricalPMF()
     dropped = 0
     for off, i in _fringe_samples(seed, n, reps):
-        k = (trees_mod._subtree_end(off, i) - i - 1) // 3
+        k = (trees_mod._subtree_end(memoryview(off), i) - i - 1) // 3
         if k <= kmax:
             emp.add(k)
         else:

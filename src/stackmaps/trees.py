@@ -71,20 +71,22 @@ class _Navigation(NamedTuple):
 class OrderedTree:
     """Full ordered tree of fixed arity, nodes indexed 0..n-1 in preorder.
 
-    The tree is its offspring sequence: ``offspring[i]`` is 0 (leaf) or
-    ``arity``, and the constructor checks it with ``_open_slots``, the one
-    check of the tree condition.  The navigation arrays are built together
-    the first time anything reads them: ``parent[i]`` / ``letter[i]`` give
-    the parent index and the child letter (root: parent -1, letter 0), and a
-    child table gives each internal node's children, so a word is looked up
-    with one table read per letter.
+    The tree is its offspring sequence, a read-only int64 array:
+    ``offspring[i]`` is 0 (leaf) or ``arity``, and the constructor checks a
+    copy of the caller's values with ``_open_slots``, the one check of the
+    tree condition.  The navigation arrays are built together the first
+    time anything reads them: ``parent[i]`` / ``letter[i]`` give the parent
+    index and the child letter (root: parent -1, letter 0), and a child table
+    gives each internal node's children, so a word is looked up with one
+    table read per letter.
     """
 
     __slots__ = ("arity", "offspring", "_nav")
 
     def __init__(self, arity: int, offspring):
-        self.arity = arity
-        self.offspring = _open_slots(arity, offspring)[0].tolist()
+        offspring = _open_slots(arity, np.array(offspring))[0]
+        offspring.flags.writeable = False
+        self.arity, self.offspring = arity, offspring
         self._nav: _Navigation | None = None
 
     def _arrays(self) -> _Navigation:
@@ -181,7 +183,7 @@ class OrderedTree:
         return i
 
     def internal_indices(self) -> list[int]:
-        return [i for i, c in enumerate(self.offspring) if c]
+        return np.flatnonzero(self.offspring).tolist()
 
     def internal_words(self) -> list[Word]:
         ws = self.words()
@@ -205,11 +207,11 @@ class OrderedTree:
         return (
             isinstance(other, OrderedTree)
             and self.arity == other.arity
-            and self.offspring == other.offspring
+            and np.array_equal(self.offspring, other.offspring)
         )
 
     def __hash__(self) -> int:
-        return hash((self.arity, tuple(self.offspring)))
+        return hash((self.arity, tuple(self.offspring.tolist())))
 
     def __repr__(self) -> str:
         return f"OrderedTree(arity={self.arity}, n={len(self)})"
@@ -219,7 +221,7 @@ class OrderedTree:
         leaf = empty string; letters implicit by position."""
         parts: list[str] = []
         pending: list[int] = []
-        for c in self.offspring:
+        for c in self.offspring.tolist():
             if c:
                 parts.append("(")
                 pending.append(self.arity)
@@ -256,16 +258,24 @@ class IncreasingTree:
     arity * parent + letter - 1`` names the leaf it replaced, child
     ``letter`` of internal node ``parent``; ``slot[0]`` is -1, and an empty
     array is the single leaf.  The constructor is the one check of a slot
-    list: ValueError unless it is empty, or slot 0 is -1 and each later node
-    k fills a slot in 0..arity*k - 1 that no other fills.  The word views
-    ``skeleton`` and ``labels`` are built on demand, for the API, and
-    ``from_skeleton`` is the one builder from words.
+    list: ValueError unless it is a one-dimensional list of integers, and
+    empty, or slot 0 is -1 and each later node k fills a slot in
+    0..arity*k - 1 that no other fills.  The word views ``skeleton`` and
+    ``labels`` are built on demand, for the API, and ``from_skeleton`` is
+    the one builder from words.
     """
 
     __slots__ = ("arity", "slot")
 
     def __init__(self, arity: int, slot):
-        slot = np.array(slot, dtype=np.int64)
+        slot = np.array(slot)
+        if slot.ndim != 1:
+            raise ValueError(f"slot list is not one-dimensional: shape {slot.shape}")
+        if slot.dtype != np.int64:
+            if (frac := slot % 1 != 0).any():  # the cast would truncate it
+                k = frac.argmax()
+                raise ValueError(f"slot {slot[k]} of node {k} is not an integer")
+            slot = slot.astype(np.int64)
         if slot.size and slot[0] != -1:
             raise ValueError(f"slot 0 is {slot[0]}, not -1 (the root)")
         k = np.arange(1, len(slot))
@@ -320,12 +330,9 @@ class IncreasingTree:
     def labels(self) -> dict[Word, int]:
         return {w: k + 1 for k, w in enumerate(self.skeleton)}
 
-    def offspring(self) -> list[int]:
+    def offspring(self) -> np.ndarray:
         """Preorder offspring sequence of the shape; a single leaf when there
         is no internal node."""
-        return self._offspring().tolist()
-
-    def _offspring(self) -> np.ndarray:
         out = np.zeros(self.arity * len(self.slot) + 1, dtype=np.int64)
         out[self._preorder()] = self.arity
         return out
@@ -370,13 +377,10 @@ class IncreasingTree:
         return _root_path_sum(parent, gap)
 
     def shape(self) -> OrderedTree:
-        return OrderedTree(self.arity, self._offspring())
+        return OrderedTree(self.arity, self.offspring())
 
-    def depths(self) -> list[int]:
+    def depths(self) -> np.ndarray:
         """Depths of the internal nodes in insertion order."""
-        return self._depths().tolist()
-
-    def _depths(self) -> np.ndarray:
         slot = self.slot  # the root, in slot -1, is its own parent, with no edge up
         return _root_path_sum(np.maximum(slot // self.arity, 0), (slot >= 0).astype(np.int64))
 
@@ -434,6 +438,8 @@ def _open_slots(arity: int, offspring) -> tuple[np.ndarray, np.ndarray]:
     other than 0 or ``arity``, a node after the slots ran out, or slots
     still open at the end."""
     off = np.asarray(offspring)
+    if off.ndim != 1:
+        raise ValueError(f"offspring sequence is not one-dimensional: shape {off.shape}")
     n, internal = len(off), off != 0
     height = np.ones(n + 1, dtype=np.int64)  # summed in place: a fresh array costs more
     np.multiply(internal, arity, out=height[1:])
@@ -505,7 +511,7 @@ def _stable_argsort(keys: np.ndarray) -> np.ndarray:
     return np.argsort(keys.astype(np.min_scalar_type(keys.max()), copy=False), kind="stable")
 
 
-def offspring_from_internal_words(arity: int, internal) -> list[int]:
+def offspring_from_internal_words(arity: int, internal) -> np.ndarray:
     """Preorder offspring sequence of the full tree whose internal-node set
     is given: the words, shortest first, are an insertion order, which
     ``IncreasingTree.from_skeleton`` checks."""
@@ -526,6 +532,8 @@ def enumerate_trees(arity: int, n_internal: int, bound: int = DEFAULT_EXHAUSTIVE
     a leaf before an internal node, so the trees come out sorted; a prefix
     is extended by a leaf only while it keeps an open slot for the internal
     nodes still to place."""
+    if arity < 2:
+        raise ValueError(f"arity must be >= 2, got {arity}")
     if n_internal < 0:
         raise ValueError(f"n_internal must be >= 0, got {n_internal}")
     if n_internal > bound:

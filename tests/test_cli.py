@@ -370,10 +370,38 @@ VERIFY_QUICK_STDOUT = (
 )
 
 
-def test_verify_quick_prints_every_check_line():
+VERIFY_FULL_STDOUT = (
+    "PASS trees.enum-counts  (n<=6)\n"
+    "PASS passage.gamma-eq-type  (depth<=10)\n"
+    "PASS passage.tri-type-invariant  (depth<=12)\n"
+    "PASS passage.quad-parity  (depth<=16)\n"
+    "PASS maps.euler  (40 growth steps)\n"
+    "PASS maps.roundtrip  (exhaustive n<=4)\n"
+    "PASS maps.root-distance  (exhaustive n<=4)\n"
+    "PASS maps.pair-bound  (exhaustive n<=4)\n"
+    "PASS maps.degrees  (exhaustive n<=4)\n"
+    "PASS maps.mean-degree  (3 sampled maps)\n"
+    "PASS maps.drawing-planar  (n=200 both families)\n"
+    "PASS maps.rotation-planar  (n=200 and the path 1^2000, both families)\n"
+    "PASS counting.histories  (K<=5)\n"
+    "PASS counting.forest-consistency  (n<=7)\n"
+    "PASS stats.pmf-sums\n"
+    "PASS stats.finite-degree-exhaustive  (maps with 8 faces)\n"
+    "PASS stats.urn-index-shift  (shift=1)\n"
+    "PASS frag.pmf-equality  (compositions of <= 8)\n"
+    "PASS frag.interval-partition  (K=200)\n"
+    "PASS localtopo.ball-monotone  (r<=5)\n"
+    "PASS localtopo.ultrametric  (4-map fixture set)\n"
+    "21/21 checks passed\n"
+)
+
+
+@pytest.mark.parametrize("level, stdout", [("quick", VERIFY_QUICK_STDOUT), ("full", VERIFY_FULL_STDOUT)],
+                         ids=["quick", "full"])
+def test_verify_quick_prints_every_check_line(level, stdout):
     # the whole stdout, so a changed bound, label or verdict shows
-    r = run_cli(["verify", "--level", "quick"])
-    assert (r.returncode, r.stdout) == (0, VERIFY_QUICK_STDOUT), r.stderr
+    r = run_cli(["verify", "--level", level])
+    assert (r.returncode, r.stdout) == (0, stdout), r.stderr
 
 
 def test_main_in_process():

@@ -420,11 +420,14 @@ def test_degree_tables_accept_their_languages(arity, table, language):
         for t in enumerate_trees(arity, n):
             words = t.words()
             internal = [w for w, c in zip(words, t.offspring) if c]
+            # the walk reads a list, an array or a memoryview alike
+            forms = (t.offspring.tolist(), t.offspring, memoryview(t.offspring))
             for i, u in enumerate(words):
                 d = len(u)
                 expected = sum(1 for v in internal if len(v) > d and v[:d] == u
                                and re.fullmatch(language, "".join(map(str, v[d:]))))
-                assert maps._count_accepted(t.offspring, i, arity, table) == expected, (t, u)
+                for off in forms:
+                    assert maps._count_accepted(off, i, arity, table) == expected, (t, u, off)
 
 
 def test_tables_read_off_the_subdivision_rule_are_the_hand_typed_ones():

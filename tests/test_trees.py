@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from stackmaps import maps
 from stackmaps import trees as trees_mod
 from stackmaps.counting import count_trees
+from stackmaps.localtopo import infinite_map_ball, sample_spine_tree
 from stackmaps.maps import QUADRANGULATION, TRIANGULATION, map_from_tree, tree_from_map
 from stackmaps.trees import (
     CapExceeded,
@@ -149,14 +150,20 @@ def test_constructor_rejects_invalid_offspring(arity):
                 assert len(OrderedTree(arity, off)) == n
 
 
-@pytest.mark.parametrize("offspring", [[3.5, 0, 0, 0], np.array([3.5, 0, 0, 0]), [3, 0.5, 0, 0]])
+@pytest.mark.parametrize("offspring", [[3.5, 0, 0, 0], np.array([3.5, 0, 0, 0]), [3, 0.5, 0, 0],
+                                       np.array([[3, 0], [0, 0]])])
 def test_fractional_counts_are_not_truncated(offspring):
-    # int(3.5) == 3 would read a one-node tree
-    bad = next(c for c in offspring if c not in (0, 3))
+    # int(3.5) == 3 would read a one-node tree; the 2-D array used to raise
+    # numpy's "non-broadcastable output operand"
+    if np.ndim(offspring) == 1:
+        bad = next(c for c in offspring if c not in (0, 3))
+        match = f"^offspring count {bad} invalid for arity 3$"
+    else:
+        match = r"^offspring sequence is not one-dimensional: shape \(2, 2\)$"
     for build in (OrderedTree, preorder_links):
-        with pytest.raises(ValueError, match=f"^offspring count {bad} invalid for arity 3$"):
+        with pytest.raises(ValueError, match=match):
             build(3, offspring)
-    assert OrderedTree(3, np.array([3.0, 0, 0, 0])).offspring == [3, 0, 0, 0]
+    assert OrderedTree(3, np.array([3.0, 0, 0, 0])).offspring.tolist() == [3, 0, 0, 0]
 
 
 def test_one_function_raises_the_tree_condition():
@@ -255,7 +262,7 @@ def test_offspring_from_internal_words_iterative_deep():
     # a path of depth 5000 would blow the recursion limit if done recursively
     chain = {tuple([1] * d) for d in range(5000)}
     off = offspring_from_internal_words(3, chain)
-    assert off.count(3) == 5000
+    assert (off == 3).sum() == 5000
     assert len(off) == 3 * 5000 + 1
 
 
@@ -329,11 +336,19 @@ def test_enumerate_trees_counts():
 @pytest.mark.parametrize("arity", [2, 3])
 def test_enumerate_trees_sorted_and_counted(arity):
     for n in range(7):
-        seqs = [t.offspring for t in enumerate_trees(arity, n)]
+        seqs = [t.offspring.tolist() for t in enumerate_trees(arity, n)]
         assert all(a < b for a, b in zip(seqs, seqs[1:]))  # strictly increasing
         assert len(seqs) == count_trees(arity, n)
     with pytest.raises(ValueError, match="must be >= 0"):
         enumerate_trees(arity, -1)
+
+
+@pytest.mark.parametrize("arity", [0, 1])
+def test_enumerate_trees_rejects_arity_below_2(arity):
+    # arity 0 used to raise "offspring sequence ends early", and arity 1 to
+    # give a unary path that count_trees refuses
+    with pytest.raises(ValueError, match=f"^arity must be >= 2, got {arity}$"):
+        enumerate_trees(arity, 2)
 
 
 def test_enumerate_trees_distinct_and_valid():
@@ -417,7 +432,7 @@ def test_increasing_tree_matches_per_step_reference(arity, K):
     assert IncreasingTree.from_skeleton(arity, skeleton) == it
     assert rng.random() == ref_rng.random()
     assert it.shape() == OrderedTree.from_internal_words(arity, skeleton)
-    assert it.depths() == [len(w) for w in skeleton]
+    assert it.depths().tolist() == [len(w) for w in skeleton]
 
 
 @settings(max_examples=300, deadline=None)
@@ -505,8 +520,8 @@ def _links_reference(arity, offspring):
 
 def _check_against_reference(it):
     offspring = _offspring_reference(it.arity, it.slot.tolist())
-    assert it.offspring() == offspring
-    assert it.depths() == _depths_reference(it.arity, it.slot.tolist())
+    assert it.offspring().tolist() == offspring
+    assert it.depths().tolist() == _depths_reference(it.arity, it.slot.tolist())
     parent, letter = it.links()
     assert (parent.tolist(), letter.tolist()) == _links_reference(it.arity, offspring)
 
@@ -516,6 +531,8 @@ def _check_against_reference(it):
     ([-1, 0, 0], "slot 0 is filled twice"),
     ([-1, 0, 6], "slot 6 of node 2 is outside 0..5"),
     ([0, 0], "slot 0 is 0, not -1"),
+    ([-1, 0.5, 2.9], r"^slot 0\.5 of node 1 is not an integer$"),  # the cast gave [-1, 0, 2]
+    ([[-1]], r"^slot list is not one-dimensional: shape \(1, 1\)$"),
 ])
 def test_increasing_tree_rejects_a_slot_list_that_is_no_tree(slot, match):
     with pytest.raises(ValueError, match=match):
@@ -540,6 +557,24 @@ def test_increasing_tree_holds_a_read_only_int64_copy(monkeypatch):
     tree = IncreasingTree(3, slot)
     slot[2] = 2  # the caller's array stays its own
     assert tree.slot.tolist() == [-1, 0, 1] and tree != IncreasingTree(3, slot)
+    assert IncreasingTree(3, [-1, 0.0, 2.0]) == IncreasingTree(3, slot)  # whole floats are slots
+
+
+def test_ordered_tree_holds_a_read_only_int64_copy():
+    t = sample_uniform_tree(3, 30, rng_from_seed(45))
+    m = map_from_tree(t, TRIANGULATION)
+    ball = infinite_map_ball(sample_spine_tree(3, 3, rng_from_seed(45))[0], 2)
+    built = [t, OrderedTree.from_parens(2, "(o(oo))"), *enumerate_trees(2, 3),
+             maps.grow(m, m.leaf_faces()[0]).tree,
+             sample_increasing_tree(3, 30, rng_from_seed(45)).shape(), tree_from_map(m), ball.tree]
+    for tree in built:
+        assert tree.offspring.dtype == np.int64 and not tree.offspring.flags.writeable
+    off = np.array([3, 0, 0, 0])
+    tree = OrderedTree(3, off)
+    off[1] = 3  # the caller's array stays its own, and writeable
+    assert tree.offspring.tolist() == [3, 0, 0, 0]
+    listed = OrderedTree(3, [3, 0, 0, 0])
+    assert listed == tree and hash(listed) == hash(tree) == hash((3, (3, 0, 0, 0)))
 
 
 @pytest.mark.parametrize("arity", [2, 3, 4])
@@ -590,8 +625,8 @@ def test_offspring_on_deep_paths(arity, first, monkeypatch):
         return np.asarray(path_sum(parent.view(Counted), weight))
 
     monkeypatch.setattr(trees_mod, "_root_path_sum", counting)
-    assert it.offspring() == _offspring_reference(arity, it.slot.tolist())
-    assert it.depths() == list(range(K))
+    assert it.offspring().tolist() == _offspring_reference(arity, it.slot.tolist())
+    assert it.depths().tolist() == list(range(K))
     # depth 4999 needs ceil(log2 4999) = 13 rounds, plus the test that ends them
     assert checks == [math.ceil(math.log2(K - 1)) + 1] * 2
 
