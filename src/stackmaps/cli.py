@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from functools import cache
 
 from . import counting, fragmentation, localtopo, maps, stats, trees
 from .passage import (
@@ -207,7 +208,10 @@ _SHARED = {
 }
 
 
+@cache
 def build_parser() -> _Parser:
+    """The parser, built on the first call and kept: each parse starts from
+    a fresh namespace, so no value carries over between calls."""
     p = _Parser(prog="stackmaps", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
 

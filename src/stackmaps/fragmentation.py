@@ -72,19 +72,23 @@ class FragmentationTree:
         return f - 1
 
     def to_json_dict(self) -> dict:
-        # parents split first: one pass names each fragment by its parent's key
-        letters = [str(i) for i in range(1, self.arity + 1)]
-        key = [""]  # in the order of ``lo``
-        for s in self.slot:
-            key += [key[s + 1] + letter for letter in letters]
-        return {
-            "arity": self.arity,
-            "intervals": {k: [a, b] for k, a, b in zip(key, self.lo, self.hi)},
-            "splits": {key[s + 1]: list(p) for s, p in zip(self.slot, self.splits)},
-        }
+        """Fragments keyed by their words, in preorder: as the letters are
+        one digit each, that is the keys' sorted order, so ``to_json`` needs
+        no ``sort_keys``."""
+        a, lo, hi, node = self.arity, self.lo, self.hi, self.node
+        letters = [(str(c), c) for c in range(a, 0, -1)]  # pushed last first: 1 pops first
+        intervals, splits = {}, {}
+        stack = [("", 0)]  # (key, fragment index in ``lo``)
+        while stack:
+            key, f = stack.pop()
+            intervals[key] = [lo[f], hi[f]]
+            if (k := node[f]) >= 0:
+                splits[key] = list(self.splits[k])
+                stack += [(key + letter, a * k + c) for letter, c in letters]
+        return {"arity": a, "intervals": intervals, "splits": splits}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        return json.dumps(self.to_json_dict())
 
 
 def sample_split(arity: int, rng) -> tuple[float, ...]:

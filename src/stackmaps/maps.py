@@ -126,7 +126,7 @@ class StackMap:
             raise ValueError(f"vertex {vid} is not an internal vertex "
                              f"{self.n_boundary}..{self.n_vertices - 1}")
         t = self.tree
-        return t.word(t._arrays().child[t.arity * (vid - self.n_boundary)] - 1)
+        return t.word(t._arrays().internal[vid - self.n_boundary])
 
     def vertex_of(self, word: Word) -> int:
         """Id of the vertex inserted in the given face: the boundary, then

@@ -15,7 +15,10 @@ comparison; its renewal rate is 1/5 rather than 1/3).
 
 from __future__ import annotations
 
-from .trees import Word, lca
+from functools import cache
+
+from .maps import _SPLIT, QUADRANGULATION, TRIANGULATION
+from .trees import Word, _letter_column, lca
 
 FULL_MASK = 0b111
 
@@ -99,7 +102,7 @@ def tri_type(word: Word, start: TriFaceType = (0, 1, 1)) -> TriFaceType:
 def tri_root_distance(word: Word) -> int:
     """Distance to the root vertex of the triangulation vertex inserted in
     the face reached by the word; equals gamma(word)."""
-    return 1 + min(tri_type(word))
+    return _root_distance(word, TRIANGULATION)
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +132,63 @@ def quad_root_distance(word: Word) -> int:
     """Distance to the root vertex of the quadrangulation vertex inserted
     in the face reached by the word (diagonal ends are the 2nd and 4th
     corners)."""
-    t = quad_type(word)
-    return 1 + min(t[1], t[3])
+    return _root_distance(word, QUADRANGULATION)
+
+
+# ---------------------------------------------------------------------------
+# the type folds as tables
+
+_FOLD = {TRIANGULATION: tri_type, QUADRANGULATION: quad_type}
+
+
+@cache
+def _root_distance_table(family: str) -> tuple[list, int]:
+    """The family's face-type automaton, reduced to what the root distance
+    reads: ``(rows, d)``, with ``d`` the root distance of the empty word.
+
+    The vertex inserted in a face is at distance 1 + m from the root vertex,
+    m the least distance of the corners it is joined to, and the rule
+    ``_SPLIT`` commutes with adding a constant to every corner.  So a face
+    type is reduced by its m, and the closure of the reduced types under the
+    rule, from the root face's, is a finite set of states: 7 for
+    triangulations, 3 for quadrangulations.  ``rows[s][c]`` is ``(row,
+    step)``: the row of the state that letter c + 1 leads to from state s,
+    and the change of m (0 or 1 for triangulations; -1 or 1 for
+    quadrangulations, whose distances change parity at every level).
+    """
+    split, attach, _ = _SPLIT[family]
+
+    def reduce(face):
+        m = min(face[attach])
+        return tuple(c - m for c in face), m
+
+    start, m = reduce(_FOLD[family](()))
+    row_of = {start: []}  # each reduced type's row, in the order they are reached
+    reached = [start]
+    for face in reached:  # grows while it is read, until no new type appears
+        for child in split(face, 1):  # the inserted vertex is at 1 + 0
+            child, step = reduce(child)
+            if child not in row_of:
+                row_of[child] = []
+                reached.append(child)
+            row_of[face].append((row_of[child], step))
+    return list(row_of.values()), 1 + m
+
+
+def _root_distance(word: Word, family: str) -> int:
+    """1 + m of the face reached by the word, walking its table one row
+    read per letter.  ValueError from the type fold, naming the first letter
+    outside the alphabet."""
+    rows, d = _root_distance_table(family)
+    column, row = _letter_column(len(rows[0])), rows[0]
+    try:
+        for letter in word:
+            row, step = row[column[letter]]
+            d += step
+    except (KeyError, TypeError):
+        _FOLD[family](word)  # raises the fold's ValueError for a bad letter
+        raise
+    return d
 
 
 def gamma_prime_literal(word: Word) -> int:

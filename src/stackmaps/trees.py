@@ -9,6 +9,7 @@ is computed on demand.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -54,18 +55,26 @@ def is_valid_tree(nodes, arity: int) -> bool:
 
 
 class _Navigation(NamedTuple):
-    """Navigation arrays of an ``OrderedTree``: ``rank[i]`` is node i's
-    rank among the internal nodes in preorder (-1 for a leaf), and
-    ``child[k * r + l - 1]`` is child l of the internal node of rank r, the
-    preorder twin of ``IncreasingTree.slot``; the node of rank r is
-    ``child[k * r] - 1``, as a first child follows its parent.
+    """Navigation lists of an ``OrderedTree``: ``rank[i]`` is node i's rank
+    among the internal nodes in preorder (-1 for a leaf) and ``internal[r]``
+    the node of rank r; ``children[i]`` is the tuple of node i's children in
+    letter order (``()`` for a leaf), so a word is looked up with one read
+    per letter.
     """
 
     parent: list[int]
     letter: list[int]
     rank: list[int]
-    child: list[int]
+    internal: list[int]
+    children: list[tuple[int, ...]]
     end: list[int]
+
+
+@cache
+def _letter_column(arity: int) -> dict[int, int]:
+    """Letter -> index in a children tuple.  A letter outside 1..arity is
+    a KeyError, a non-integer one too, while 1.0 or np.int64(1) is 1."""
+    return {letter: letter - 1 for letter in range(1, arity + 1)}
 
 
 class OrderedTree:
@@ -77,8 +86,8 @@ class OrderedTree:
     tree condition.  The navigation arrays are built together the first
     time anything reads them: ``parent[i]`` / ``letter[i]`` give the parent
     index and the child letter (root: parent -1, letter 0), and a child table
-    gives each internal node's children, so a word is looked up with one
-    table read per letter.
+    gives each node's children, so a word is looked up with one table read
+    per letter.
     """
 
     __slots__ = ("arity", "offspring", "_nav")
@@ -99,7 +108,7 @@ class OrderedTree:
             letter = (slot % self.arity + 1) * (slot >= 0)
             rank = np.full(n, -1, dtype=np.int64)
             rank[inner] = np.arange(len(inner))
-            child = np.empty(n - 1, dtype=np.int64)
+            child = np.empty(n - 1, dtype=np.int64)  # child l of rank r at k * r + l - 1
             child[slot[1:]] = np.arange(1, n)
             # end[i], one past the subtree of i, is the first later position
             # with one open slot less.  Sorted by (open slots, position), the
@@ -108,8 +117,13 @@ class OrderedTree:
             end = np.empty(n, dtype=np.int64)
             end[pops] = key[np.searchsorted(key, key[1:] - (n + 1))] % (n + 1)
             ids = np.arange(-1, n + 1).astype(object)  # -1..n: the lists share these ints
-            self._nav = _Navigation(
-                *(ids[a + 1].tolist() for a in (parent, letter, rank, child, end)))
+            parent, letter, rank, internal, end = (
+                ids[a + 1].tolist() for a in (parent, letter, rank, inner, end))
+            children = [()] * n  # a leaf's
+            columns = ids[child + 1].reshape(-1, self.arity).T.tolist()
+            for i, kids in zip(internal, zip(*columns)):
+                children[i] = kids
+            self._nav = _Navigation(parent, letter, rank, internal, children, end)
         return self._nav
 
     @property
@@ -135,11 +149,7 @@ class OrderedTree:
         Children of a node are NOT contiguous in preorder: the first is
         i + 1, each later one starts where its left sibling's subtree ends.
         """
-        nav = self._arrays()
-        r = nav.rank[self._node(i)]
-        if r < 0:
-            return ()
-        return tuple(nav.child[self.arity * r:self.arity * (r + 1)])
+        return self._arrays().children[self._node(i)]
 
     def subtree_end(self, i: int) -> int:
         """Index one past the last node of the subtree rooted at i."""
@@ -168,18 +178,15 @@ class OrderedTree:
 
     def index_of(self, w: Word) -> int:
         """Preorder index of the node with word w; KeyError if there is
-        none (a letter outside 1..arity, or a step below a leaf)."""
-        k = self.arity
-        if w and not (1 <= min(w) and max(w) <= k):
-            raise KeyError(w)
-        nav = self._arrays()
-        rank, child = nav.rank, nav.child
+        none (a letter outside 1..arity, a non-integer one included, or a
+        step below a leaf)."""
+        children, column = self._arrays().children, _letter_column(self.arity)
         i = 0
-        for letter in w:
-            r = rank[i]
-            if r < 0:
-                raise KeyError(w)
-            i = child[k * r + letter - 1]
+        try:
+            for letter in w:
+                i = children[i][column[letter]]
+        except (KeyError, IndexError):  # a bad letter; a leaf's () has no child
+            raise KeyError(w) from None
         return i
 
     def internal_indices(self) -> list[int]:

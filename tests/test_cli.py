@@ -11,7 +11,7 @@ import pytest
 
 import stackmaps
 from stackmaps import localtopo
-from stackmaps.cli import main
+from stackmaps.cli import build_parser, main
 
 CLI = [sys.executable, "-m", "stackmaps.cli"]
 # subprocesses import the stackmaps this test run imported, installed or not
@@ -232,6 +232,20 @@ def test_map_output_golden_bytes(cmd, capsys):
     assert main(cmd.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == MAP_OUTPUT_SHA256[cmd]
+
+
+def test_one_parser_serves_successive_commands(capsys):
+    # the parser is built once per process; draw's format="svg" default must
+    # not carry over into the next sample, nor either into passage
+    assert build_parser() is build_parser()
+    for cmd in ["draw --family tri --law uniform --size 300 --seed 1",
+                "sample --family tri --law uniform --size 3000 --seed 1"]:
+        assert main(cmd.split()) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == MAP_OUTPUT_SHA256[cmd], cmd
+    args = ["passage", "--word", "22123122131"]
+    assert main(args) == 0
+    assert capsys.readouterr().out == run_cli(args).stdout
 
 
 def test_stats_csv_and_json():

@@ -136,7 +136,8 @@ def test_vertex_of_matches_word_rank(family, arity):
 def test_vertex_of_key_errors(family, arity):
     m = map_from_tree(OrderedTree.from_internal_words(arity, [(), (1,)]), family)
     leaf = (2,)
-    for w in [leaf, leaf + (1,), (1, 1), (1, 1, 1), (0,), (-1,), (arity + 1,), (1, arity + 1)]:
+    for w in [leaf, leaf + (1,), (1, 1), (1, 1, 1), (0,), (-1,), (arity + 1,), (1, arity + 1),
+              (1.5,), ("1",), (1, 1.5)]:
         with pytest.raises(KeyError):
             m.vertex_of(w)
     with pytest.raises(KeyError):

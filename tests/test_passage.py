@@ -2,12 +2,14 @@
 
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stackmaps.maps import QUADRANGULATION, TRIANGULATION, _ARITY, _ROOT_FACE, _SPLIT, distance_matrix, theta
 from stackmaps.passage import (
+    _root_distance_table,
     gamma,
     gamma_pair,
     gamma_prime_literal,
@@ -133,12 +135,26 @@ def test_quad_parity(letters):
     (tri_type, (0, 5), "{1,2,3}"),
     (gamma_prime_literal, (3, 3, 3), "{1,2}"),
     (quad_type, (3, 3, 3), "{1,2}"),
-], ids=["gamma", "tau", "tri_type", "gamma_prime_literal", "quad_type"])
+    (tri_root_distance, (4, 1), "{1,2,3}"),
+    (tri_root_distance, (1.5,), "{1,2,3}"),
+    (tri_root_distance, ("1",), "{1,2,3}"),
+    (quad_root_distance, (3, 1), "{1,2}"),
+    (quad_root_distance, (1.5,), "{1,2}"),
+    (quad_root_distance, ("1",), "{1,2}"),
+], ids=["gamma", "tau", "tri_type", "gamma_prime_literal", "quad_type",
+        "tri_root_distance", "tri_root_distance_float", "tri_root_distance_str",
+        "quad_root_distance", "quad_root_distance_float", "quad_root_distance_str"])
 def test_passage_counts_reject_letters_outside_their_alphabet(f, word, alphabet):
     # gamma((4,)) was 1, tau_decomposition((0, 5)) [0] and
     # gamma_prime_literal((3, 3, 3)) 2; all now fail as the type folds do
     with pytest.raises(ValueError, match=f"letter {word[0]} not in {re.escape(alphabet)}"):
         f(word)
+
+
+def test_root_distances_read_letters_equal_to_ints():
+    # the tables look letters up by value, as the folds compare them
+    for dist in (tri_root_distance, quad_root_distance):
+        assert dist((1.0, True, np.int64(2), 1)) == dist((1, 1, 2, 1.0)) == dist((1, 1, 2, 1))
 
 
 def _rule_types(family, max_len):
@@ -156,13 +172,26 @@ def _rule_types(family, max_len):
     yield from level
 
 
-@pytest.mark.parametrize("family, fold, max_len", [
-    (TRIANGULATION, tri_type, 8), (QUADRANGULATION, quad_type, 12)], ids=["tri", "quad"])
-def test_type_folds_are_the_subdivision_rule(family, fold, max_len):
-    # the hand-written folds against maps._SPLIT on every word up to max_len,
-    # the default start types (the empty word) included
+@pytest.mark.parametrize("family, fold, root_distance, max_len, states, steps", [
+    (TRIANGULATION, tri_type, tri_root_distance, 8, 7, {0, 1}),
+    (QUADRANGULATION, quad_type, quad_root_distance, 12, 3, {-1, 1}),
+], ids=["tri", "quad"])
+def test_type_folds_are_the_subdivision_rule(family, fold, root_distance, max_len, states, steps):
+    # the hand-written folds, and the root-distance tables, against
+    # maps._SPLIT on every word up to max_len, the default start types (the
+    # empty word) included
+    joined = _SPLIT[family][1]
     n = 0
     for word, types in _rule_types(family, max_len):
         assert fold(word) == types, word
+        assert root_distance(word) == 1 + min(types[joined]), word
         n += 1
     assert n == sum(_ARITY[family] ** k for k in range(max_len + 1))
+    # long words reach distances that short ones cannot
+    k = _ARITY[family]
+    rng = np.random.default_rng(23)
+    for word in map(tuple, rng.integers(1, k + 1, size=(100, 10**4)).tolist()):
+        assert root_distance(word) == 1 + min(fold(word)[joined])
+    rows, _ = _root_distance_table(family)
+    assert len(rows) == states
+    assert {step for row in rows for _, step in row} == steps

@@ -70,9 +70,11 @@ def test_node_ids_out_of_range_rejected():
 
 def test_index_of_rejects_letters_outside_alphabet():
     t = OrderedTree(3, [3, 0, 0, 0])
-    for w in [(0,), (-1,), (4,), (1, 1)]:
+    for w in [(0,), (-1,), (4,), (1, 1), (1.5,), ("1",)]:
         with pytest.raises(KeyError):
             t.index_of(w)
+    # a letter equal to an int is that letter
+    assert t.index_of((1.0,)) == t.index_of((True,)) == 1 and t.index_of((np.int64(3),)) == 3
     # a leaf word is a node; a step below a leaf, or a bad letter deeper
     # down, is not
     for arity in (2, 3):
@@ -207,8 +209,13 @@ def test_navigation_arrays_built_on_first_use():
 @pytest.mark.parametrize("arity", [2, 3])
 def test_navigation_lists_share_one_set_of_ints(arity):
     # a tolist() per list would make a new int per entry, about twice the memory
+    # and the children tuples hold those same ints
     t = sample_uniform_tree(arity, 1000, rng_from_seed(34))
-    assert len({id(x) for l in t._arrays() for x in l}) <= len(t) + 2
+    nav = t._arrays()
+    ints = [x for l in nav if l is not nav.children for x in l]
+    ints += [x for kids in nav.children for x in kids]
+    assert all(type(x) is int for x in ints)
+    assert len({id(x) for x in ints}) <= len(t) + 2
 
 
 def test_from_internal_words_matches_offspring():
@@ -507,7 +514,9 @@ def _navigation_reference(arity, offspring):
     end = list(range(1, n + 1))
     for r in range(len(internal) - 1, -1, -1):
         end[internal[r]] = end[child[arity * r + arity - 1]]
-    return parent, letter, rank, child, end
+    children = [tuple(child[arity * rank[i]:arity * rank[i] + arity]) if c else ()
+                for i, c in enumerate(offspring)]
+    return parent, letter, rank, internal, children, end
 
 
 def _links_reference(arity, offspring):
