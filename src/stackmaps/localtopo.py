@@ -10,8 +10,8 @@ and maps through their rotation systems.
 from __future__ import annotations
 
 from . import maps as maps_mod
+from . import passage
 from .maps import StackMap, distance_matrix, rotation_system
-from .passage import quad_type, tri_type
 from .trees import CapExceeded, IncreasingTree, OrderedTree, Word
 
 
@@ -115,34 +115,34 @@ def _ball_code(dist, rot, first, r: int):
 # passage-function balls
 
 
-#: face-type fold of each arity
-_FOLD = {3: tri_type, 2: quad_type}
-#: the family of each arity; 1 + the least type entry of a face's joined
-#: corners (``maps._SPLIT``) is the passage value of its vertex
+#: the family of each arity, whose ``passage._type_table`` gives the states
 _FAMILY = {k: family for family, k in maps_mod._ARITY.items()}
 
 
-def _fold(arity: int):
-    """The face-type fold of ``arity``; ValueError for an arity with none."""
-    if arity not in _FOLD:
-        raise ValueError(f"arity must be {' or '.join(map(str, sorted(_FOLD)))}, got {arity}")
-    return _FOLD[arity]
+def _root_state(arity: int) -> tuple[list, int]:
+    """The root's state row and passage value in ``arity``'s face-type
+    table; ValueError for an arity with none."""
+    if arity not in _FAMILY:
+        raise ValueError(f"arity must be {' or '.join(map(str, sorted(_FAMILY)))}, got {arity}")
+    return passage._type_table(_FAMILY[arity])
 
 
 def _ball_nodes(t: OrderedTree, r: int) -> list[int]:
     """Preorder indices of the nodes of t whose passage value is at most r,
-    in one preorder pass that folds each node's face type from its parent's
-    and skips the subtree of a face with 1 + min(type) > r."""
-    fold, joined = _fold(t.arity), maps_mod._SPLIT[_FAMILY[t.arity]][1]
-    parent, letter = t.parent, t.letter
-    types = [fold(())] * len(t)
+    in one preorder pass that steps each node's state and passage value from
+    its parent's and skips the subtree of a face whose every corner is
+    beyond r (value + least entry of the reduced type > r)."""
+    root, d = _root_state(t.arity)
+    k, parent, letter = t.arity, t.parent, t.letter
+    row, value = [root] * len(t), [d] * len(t)
     out, i = [], 0
     while i < len(t):
         if i:
-            types[i] = fold((letter[i],), types[parent[i]])
-        if 1 + min(types[i][joined]) <= r:
+            row[i], step = row[parent[i]][letter[i] - 1]
+            value[i] = value[parent[i]] + step
+        if value[i] <= r:
             out.append(i)
-        elif 1 + min(types[i]) > r:
+        elif value[i] + min(row[i][k]) > r:
             i = t.subtree_end(i)
             continue
         i += 1
@@ -164,36 +164,35 @@ def sample_spine_tree(arity: int, r: int, rng, cap: int = 10**6):
     internal node fills in draw order, and the spine's word."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    fold = _fold(arity)
+    row, d = _root_state(arity)
     slot: list[int] = []
     budget = [cap]
     spine: list[int] = []
     tip = -1  # slot of the spine tip
-    tp = fold(())
-    while 1 + min(tp) <= r:
+    while d + min(row[arity]) <= r:
         k = len(slot)
         slot.append(tip)
         letter = int(rng.integers(1, arity + 1))
         for other in range(1, arity + 1):
             if other != letter:
-                _graft(arity, arity * k + other - 1, fold((other,), tp), r, rng,
-                       slot, budget)
+                child, step = row[other - 1]
+                _graft(arity, arity * k + other - 1, child, d + step, r, rng, slot, budget)
         spine.append(letter)
         tip = arity * k + letter - 1
-        tp = fold((letter,), tp)
+        row, step = row[letter - 1]
+        d += step
     return IncreasingTree(arity, slot).shape(), tuple(spine)
 
 
-def _graft(arity, s, tp, r, rng, slot, budget) -> None:
-    """Critical GW tree in slot ``s`` (face type ``tp``), truncated to a
-    leaf wherever the minimum corner distance proves the subtree cannot
-    meet the ball.  Iterative: children are pushed in reverse letter order,
-    so nodes are visited, and draw from ``rng``, in preorder."""
-    fold = _FOLD[arity]
-    stack = [(s, tp)]
+def _graft(arity, s, row, d, r, rng, slot, budget) -> None:
+    """Critical GW tree in slot ``s`` (state ``row``, passage value ``d``),
+    truncated to a leaf wherever the least corner distance proves the
+    subtree cannot meet the ball.  Iterative: children are pushed in reverse
+    letter order, so nodes are visited, and draw from ``rng``, in preorder."""
+    stack = [(s, row, d)]
     while stack:
-        s, tp = stack.pop()
-        if min(tp) + 1 > r:
+        s, row, d = stack.pop()
+        if d + min(row[arity]) > r:
             continue
         if budget[0] <= 0:
             raise CapExceeded("spine graft exceeded node cap")
@@ -203,7 +202,8 @@ def _graft(arity, s, tp, r, rng, slot, budget) -> None:
         k = len(slot)
         slot.append(s)
         for letter in range(arity, 0, -1):
-            stack.append((arity * k + letter - 1, fold((letter,), tp)))
+            child, step = row[letter - 1]
+            stack.append((arity * k + letter - 1, child, d + step))
 
 
 def infinite_map_ball(t: OrderedTree, r: int) -> StackMap:

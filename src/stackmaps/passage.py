@@ -2,9 +2,9 @@
 
 ``gamma`` counts how many blocks a word over {1,2,3} completes: the first
 block ends at the first occurrence of the letter 1, and each later block
-ends as soon as it has collected all three letters.  Folding the face-type
-evolution rules along a word gives the same number, which is the graph
-distance to the root vertex of the triangulation vertex encoded by the word.
+ends as soon as it has collected all three letters.  Walking the face-type
+automaton along a word gives the same number, which is the graph distance
+to the root vertex of the triangulation vertex encoded by the word.
 
 For the binary alphabet (quadrangulations) two inequivalent counts coexist:
 the type-automaton distance ``quad_root_distance`` (consistent with BFS on
@@ -17,19 +17,23 @@ from __future__ import annotations
 
 from functools import cache
 
-from .maps import _SPLIT, QUADRANGULATION, TRIANGULATION
+from .maps import _ROOT_FACE, _SPLIT, QUADRANGULATION, TRIANGULATION
 from .trees import Word, _letter_column, lca
 
 FULL_MASK = 0b111
 
 
 def _check_letters(word: Word, k: int) -> None:
-    """ValueError, as ``tri_type`` and ``quad_type`` raise it, naming the
-    first letter of the word outside 1..k.  A valid word costs one set."""
+    """ValueError naming the first letter of the word outside 1..k, an
+    unhashable one included.  A valid word costs one set."""
     alphabet = range(1, k + 1)
-    if not set(word).issubset(alphabet):
-        bad = next(x for x in word if x not in alphabet)
-        raise ValueError(f"letter {bad} not in {{{','.join(map(str, alphabet))}}}")
+    try:
+        if set(word).issubset(alphabet):
+            return
+    except TypeError:  # an unhashable letter
+        pass
+    bad = next(x for x in word if x not in alphabet)
+    raise ValueError(f"letter {bad} not in {{{','.join(map(str, alphabet))}}}")
 
 
 # ---------------------------------------------------------------------------
@@ -76,27 +80,20 @@ def gamma_pair(u: Word, v: Word) -> int:
     return gamma(u[len(w):]) + gamma(v[len(w):])
 
 
-TriFaceType = tuple[int, int, int]
-
-
-def tri_type(word: Word, start: TriFaceType = (0, 1, 1)) -> TriFaceType:
+def tri_type(word: Word) -> tuple[int, int, int]:
     """Distances to the root vertex of the three corners of the face
-    reached by the word, folding the evolution rules from the type
-    ``start`` of the face the word starts in (default: the root face):
-    letter l replaces corner l by a new vertex at distance 1 + min."""
-    i, j, k = start
-    for letter in word:
-        g = i if i < j else j
-        g = 1 + (g if g < k else k)
-        if letter == 1:
-            i = g
-        elif letter == 2:
-            j = g
-        elif letter == 3:
-            k = g
-        else:
-            raise ValueError(f"letter {letter} not in {{1,2,3}}")
-    return (i, j, k)
+    reached by the word: m + the reduced type of its ``_type_table`` state."""
+    row, d = _type_table(TRIANGULATION)
+    column = _letter_column(3)
+    try:
+        for letter in word:
+            row, step = row[column[letter]]
+            d += step
+    except (KeyError, TypeError):
+        _check_letters(word, 3)
+        raise
+    i, j, k = row[3]
+    return (d - 1 + i, d - 1 + j, d - 1 + k)
 
 
 def tri_root_distance(word: Word) -> int:
@@ -108,24 +105,21 @@ def tri_root_distance(word: Word) -> int:
 # ---------------------------------------------------------------------------
 # binary words (quadrangulations)
 
-QuadFaceType = tuple[int, int, int, int]
 
-
-def quad_type(word: Word, start: QuadFaceType = (1, 2, 1, 0)) -> QuadFaceType:
+def quad_type(word: Word) -> tuple[int, int, int, int]:
     """Distances to the root vertex of the four corners (in construction
-    order) of the face reached by the word; folds the rules
-    (a,b,c,d) -> (b, 1+b∧d, d, a) / (b, 1+b∧d, d, c) from the type
-    ``start`` of the face the word starts in (default: the root face)."""
-    a, b, c, d = start
-    for letter in word:
-        x = 1 + (b if b < d else d)
-        if letter == 1:
-            a, b, c, d = b, x, d, a
-        elif letter == 2:
-            a, b, c, d = b, x, d, c
-        else:
-            raise ValueError(f"letter {letter} not in {{1,2}}")
-    return (a, b, c, d)
+    order) of the face reached by the word, read as ``tri_type`` reads them."""
+    row, d = _type_table(QUADRANGULATION)
+    column = _letter_column(2)
+    try:
+        for letter in word:
+            row, step = row[column[letter]]
+            d += step
+    except (KeyError, TypeError):
+        _check_letters(word, 2)
+        raise
+    a, b, c, e = row[2]
+    return (d - 1 + a, d - 1 + b, d - 1 + c, d - 1 + e)
 
 
 def quad_root_distance(word: Word) -> int:
@@ -136,33 +130,29 @@ def quad_root_distance(word: Word) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the type folds as tables
-
-_FOLD = {TRIANGULATION: tri_type, QUADRANGULATION: quad_type}
+# the face-type automata as tables
 
 
 @cache
-def _root_distance_table(family: str) -> tuple[list, int]:
-    """The family's face-type automaton, reduced to what the root distance
-    reads: ``(rows, d)``, with ``d`` the root distance of the empty word.
-
-    The vertex inserted in a face is at distance 1 + m from the root vertex,
-    m the least distance of the corners it is joined to, and the rule
-    ``_SPLIT`` commutes with adding a constant to every corner.  So a face
-    type is reduced by its m, and the closure of the reduced types under the
-    rule, from the root face's, is a finite set of states: 7 for
-    triangulations, 3 for quadrangulations.  ``rows[s][c]`` is ``(row,
-    step)``: the row of the state that letter c + 1 leads to from state s,
-    and the change of m (0 or 1 for triangulations; -1 or 1 for
-    quadrangulations, whose distances change parity at every level).
-    """
+def _type_table(family: str) -> tuple[list, int]:
+    """The family's face-type automaton: ``(row, d)``, the row of the state
+    of the empty word and its root distance.  A type is the distances of a
+    face's corners to the root vertex, the root face's its ring distances.
+    The vertex inserted in a face is at 1 + m, m the least distance of the
+    corners it is joined to, and ``_SPLIT`` commutes with adding a constant
+    to every corner, so a type is reduced by its m; a few reduced types are
+    reached (7 tri, 3 quad).  With k the arity, ``row[c]`` for c < k is the
+    row letter c + 1 leads to and the change of m (0 or 1 tri; -1 or 1 quad,
+    whose distances change parity at every level); ``row[k]`` is the state's
+    reduced type."""
     split, attach, _ = _SPLIT[family]
+    root = _ROOT_FACE[family]
 
     def reduce(face):
         m = min(face[attach])
         return tuple(c - m for c in face), m
 
-    start, m = reduce(_FOLD[family](()))
+    start, m = reduce(tuple(min(v, len(root) - v) for v in root))
     row_of = {start: []}  # each reduced type's row, in the order they are reached
     reached = [start]
     for face in reached:  # grows while it is read, until no new type appears
@@ -172,21 +162,21 @@ def _root_distance_table(family: str) -> tuple[list, int]:
                 row_of[child] = []
                 reached.append(child)
             row_of[face].append((row_of[child], step))
-    return list(row_of.values()), 1 + m
+        row_of[face].append(face)
+    return row_of[start], 1 + m
 
 
 def _root_distance(word: Word, family: str) -> int:
-    """1 + m of the face reached by the word, walking its table one row
-    read per letter.  ValueError from the type fold, naming the first letter
-    outside the alphabet."""
-    rows, d = _root_distance_table(family)
-    column, row = _letter_column(len(rows[0])), rows[0]
+    """1 + m of the face reached by the word, one row read per letter;
+    ValueError naming the first letter outside the alphabet."""
+    row, d = _type_table(family)
+    column = _letter_column(len(row) - 1)
     try:
         for letter in word:
             row, step = row[column[letter]]
             d += step
     except (KeyError, TypeError):
-        _FOLD[family](word)  # raises the fold's ValueError for a bad letter
+        _check_letters(word, len(column))
         raise
     return d
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -495,8 +496,8 @@ EXPERIMENTS = {
 
 def run_experiment(name: str, params: dict | None = None, seed: int = 0) -> ExperimentReport:
     """Run a registry experiment with ``params`` over its defaults:
-    KeyError on an unknown experiment, ValueError on a parameter that the
-    experiment does not declare."""
+    KeyError on an unknown experiment, ValueError, before any draw, on a
+    parameter that it does not declare, or an empty or out-of-range one."""
     if name not in EXPERIMENTS:
         raise KeyError(f"unknown experiment {name!r}; known: {sorted(EXPERIMENTS)}")
     measure, defaults = EXPERIMENTS[name]
@@ -505,6 +506,13 @@ def run_experiment(name: str, params: dict | None = None, seed: int = 0) -> Expe
     if unknown:
         raise ValueError(f"{name} takes no parameter {', '.join(unknown)}; "
                          f"accepted: {', '.join(defaults)}")
-    resolved = {k: [int(s) for s in v] if k == "sizes" else int(v)
-                for k, v in {**defaults, **params}.items()}
+    least = {"n": 2, "sizes": 2, "reps": 1, "window": 1, "kmax": 1}  # sizes: of each entry
+    resolved = {**defaults, **params}
+    if not resolved.get("sizes", [2]):
+        raise ValueError(f"{name}: sizes must not be empty")
+    for k, v in resolved.items():
+        for x in v if k == "sizes" else [v]:
+            if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < least[k]:
+                raise ValueError(f"{name}: {k} must be an integer >= {least[k]}, got {x!r}")
+    resolved = {k: [int(s) for s in v] if k == "sizes" else int(v) for k, v in resolved.items()}
     return ExperimentReport(name, resolved, seed, resolved["reps"], *measure(seed, **resolved))

@@ -219,11 +219,13 @@ MAP_OUTPUT_SHA256 = {
     "draw --family tri --law growth --size 300 --seed 1": "d7a76a124fbbe69b5e165a920df470cb37a38fd864f8ebb0a6e9cef03b5cda41",
     "ball --family tri --r 3 --seed 1": "5d7ca716cfee299ae262577de0d190b681d32db810c0863eb213daee2d6a4301",
     "ball --family tri --r 3 --format svg --seed 1": "5daf25ba742bdb7038184b9b8e5bba8cec8f33a2441dcf424bfe71957cef203e",
+    "ball --family tri --r 20 --seed 1": "00867a3da2197b4b2f37dcd07205a6c040801a97340cd54f8c88a499317ea61a",
     "sample --family quad --law uniform --size 3000 --seed 1": "958951591a675d27977bbf1b6b2592a350b5ca9c4986f81f3b61e1eb5c454272",
     "draw --family quad --law uniform --size 300 --seed 1": "69cd09601470dcad0cb6cbc9b1decfd81710cf2923d4f8737c0805d42fcb56b8",
     "draw --family quad --law growth --size 300 --seed 1": "494661c4b48ba398441e20ff553e60038b9365623b5a25d869253c085e4cfdc5",
     "ball --family quad --r 3 --seed 1": "0653613425df842f28b3945071f65ab1322b4f20fb5e6369763078cc2cb8a441",
     "ball --family quad --r 3 --format svg --seed 1": "31a208ce84a6facc7553d695801a4c169aef54e3fef76c714a4b1bb31718b526",
+    "ball --family quad --r 20 --seed 1": "facbaf9c8710fdf4880cbf4b3bcc5a078db4e01fb6d6c36974d7108443ac0261",
 }
 
 
@@ -319,6 +321,16 @@ def test_cli_import_loads_no_scipy():
                        env=subprocess_env())
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+
+
+def test_cli_import_builds_no_face_type_table():
+    # the tables are built on first use, not when the CLI starts
+    code = ("import stackmaps.cli, stackmaps.passage as p; "
+            "print(p._type_table.cache_info().currsize)")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=subprocess_env())
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "0"
 
 
 def test_chisquare_experiment_loads_no_scipy_stats():

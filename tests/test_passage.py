@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from stackmaps.maps import QUADRANGULATION, TRIANGULATION, _ARITY, _ROOT_FACE, _SPLIT, distance_matrix, theta
 from stackmaps.passage import (
-    _root_distance_table,
+    _type_table,
     gamma,
     gamma_pair,
     gamma_prime_literal,
@@ -110,16 +110,6 @@ def test_tri_type_entries_are_corner_distances(letters):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_fold_resumes_from_start_type(data):
-    # folding u then v from the type u reaches is folding u + v
-    for fold, arity in ((tri_type, 3), (quad_type, 2)):
-        u = tuple(data.draw(st.lists(st.integers(1, arity), max_size=10)))
-        v = tuple(data.draw(st.lists(st.integers(1, arity), max_size=10)))
-        assert fold(v, fold(u)) == fold(u + v)
-
-
-@settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(1, 2), max_size=14))
 def test_quad_parity(letters):
     # quadrangulations are bipartite: distance parity flips with each level
@@ -172,14 +162,25 @@ def _rule_types(family, max_len):
     yield from level
 
 
+def _letter_fold(family, word):
+    """Corner distances of the face the word reaches, applying the rule
+    letter by letter from the root face's distances in theta."""
+    split, attach, _ = _SPLIT[family]
+    dist = distance_matrix(theta(family), sources=[0])[0]
+    face = tuple(int(dist[v]) for v in _ROOT_FACE[family])
+    for letter in word:
+        face = split(face, 1 + min(face[attach]))[letter - 1]
+    return face
+
+
 @pytest.mark.parametrize("family, fold, root_distance, max_len, states, steps", [
     (TRIANGULATION, tri_type, tri_root_distance, 8, 7, {0, 1}),
     (QUADRANGULATION, quad_type, quad_root_distance, 12, 3, {-1, 1}),
 ], ids=["tri", "quad"])
 def test_type_folds_are_the_subdivision_rule(family, fold, root_distance, max_len, states, steps):
-    # the hand-written folds, and the root-distance tables, against
-    # maps._SPLIT on every word up to max_len, the default start types (the
-    # empty word) included
+    # the folds and the root distances, which walk the face-type tables,
+    # against maps._SPLIT on every word up to max_len, the empty word
+    # included
     joined = _SPLIT[family][1]
     n = 0
     for word, types in _rule_types(family, max_len):
@@ -191,7 +192,29 @@ def test_type_folds_are_the_subdivision_rule(family, fold, root_distance, max_le
     k = _ARITY[family]
     rng = np.random.default_rng(23)
     for word in map(tuple, rng.integers(1, k + 1, size=(100, 10**4)).tolist()):
-        assert root_distance(word) == 1 + min(fold(word)[joined])
-    rows, _ = _root_distance_table(family)
-    assert len(rows) == states
-    assert {step for row in rows for _, step in row} == steps
+        types = _letter_fold(family, word)
+        assert fold(word) == types
+        assert root_distance(word) == 1 + min(types[joined])
+    # the states reachable from the empty word's: k transitions, then the
+    # reduced type (least joined corner 0)
+    reached = [_type_table(family)[0]]
+    for row in reached:
+        assert len(row) == k + 1 and min(row[k][joined]) == 0
+        for child, _ in row[:k]:
+            if all(child is not r for r in reached):
+                reached.append(child)
+    assert len(reached) == states
+    assert {step for row in reached for _, step in row[:k]} == steps
+
+
+@pytest.mark.parametrize("f, alphabet", [
+    (tri_type, "{1,2,3}"), (tri_root_distance, "{1,2,3}"),
+    (quad_type, "{1,2}"), (quad_root_distance, "{1,2}"),
+], ids=["tri_type", "tri_root_distance", "quad_type", "quad_root_distance"])
+@pytest.mark.parametrize("bad", [0, 4, 1.5, "1", None, [1]],
+                         ids=["0", "4", "float", "str", "None", "unhashable"])
+def test_type_walks_name_the_bad_letter(f, alphabet, bad):
+    # a letter outside the alphabet, an unhashable one included, is a
+    # ValueError naming it, wherever it stands in the word
+    with pytest.raises(ValueError, match=f"^letter {re.escape(str(bad))} not in {re.escape(alphabet)}$"):
+        f((1, 2, bad, 1))

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -282,3 +283,30 @@ def test_unknown_parameter_rejected(name, params):
     with pytest.raises(ValueError, match=f"{next(iter(params))}.*accepted"):
         run_experiment(name, params, 0)
 
+
+@pytest.mark.parametrize("name, params, match", [
+    ("bin-depth", {"n": 50.7, "reps": 2}, "n must be an integer >= 2, got 50.7"),
+    ("bin-depth", {"n": 50, "reps": 2.9}, "reps must be an integer >= 1, got 2.9"),
+    ("typical-distance", {"sizes": [100.5]}, "sizes must be an integer >= 2, got 100.5"),
+    ("gamma-rate", {"n": "100"}, "n must be an integer >= 2, got '100'"),
+    ("gamma-rate", {"reps": True}, "reps must be an integer >= 1, got True"),
+    ("typical-distance", {"sizes": [1]}, "sizes must be an integer >= 2, got 1"),
+    ("typical-distance", {"sizes": [0]}, "sizes must be an integer >= 2, got 0"),
+    ("typical-distance", {"sizes": []}, "sizes must not be empty"),
+    ("radius-scaling", {"sizes": [0, 4]}, "sizes must be an integer >= 2, got 0"),
+    ("tri-depth", {"n": 1}, "n must be an integer >= 2, got 1"),
+    ("bin-depth", {"n": 1}, "n must be an integer >= 2, got 1"),
+    ("gamma-rate", {"n": 0}, "n must be an integer >= 2, got 0"),
+    ("subtree-size", {"n": 0}, "n must be an integer >= 2, got 0"),
+    ("gamma-rate", {"reps": 0}, "reps must be an integer >= 1, got 0"),
+    ("tri-depth", {"window": 0}, "window must be an integer >= 1, got 0"),
+    ("subtree-size", {"kmax": 0}, "kmax must be an integer >= 1, got 0"),
+])
+def test_bad_parameter_value_rejected_before_any_draw(name, params, match, monkeypatch):
+    # these truncated silently, divided by zero, or failed in numpy
+    def measure(*args, **kwargs):
+        raise AssertionError("drew with a bad parameter")
+
+    monkeypatch.setitem(EXPERIMENTS, name, (measure, EXPERIMENTS[name][1]))
+    with pytest.raises(ValueError, match=f"^{name}: {re.escape(match)}$"):
+        run_experiment(name, params, 0)
