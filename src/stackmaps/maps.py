@@ -8,16 +8,17 @@ face's active diagonal, splitting the face in two.  The face-subdivision
 genealogy is a full ternary (resp. binary) tree, and the map depends on
 the tree only, not on the insertion order.
 
-A map is held as that tree plus the adjacency lists derived from it.
-Vertex ids are integers: the boundary vertices first (0..2 or 0..3, with 0
-the root vertex), then one vertex per internal tree node in preorder, for
-every map however it was built.  Face words are used only at the API
-boundary.
+A map is held as that tree plus the CSR adjacency (indptr, indices) built
+from it once, as read-only int64 arrays.  Vertex ids are integers: the
+boundary vertices first (0..2 or 0..3, with 0 the root vertex), then one
+vertex per internal tree node in preorder, for every map however it was
+built.  Face words are used only at the API boundary.
 """
 
 from __future__ import annotations
 
 import json
+from functools import cache
 from itertools import chain
 
 import numpy as np
@@ -68,16 +69,21 @@ class NotStackMapError(ValueError):
 
 class StackMap:
     """Planar map built by iterated face subdivision, held as the pair
-    (face-subdivision tree, adjacency lists).
+    (face-subdivision tree, CSR adjacency).
 
-    The tree determines the map; ``adjacency`` is derived from it by
-    ``adjacency_from_offspring``, and code outside this class reads it as
-    the CSR pair ``graph``.  Vertex ids are the boundary, then one vertex
-    per internal tree node in preorder.  Face words appear only at the API
+    The tree determines the map; ``graph`` is the read-only CSR pair
+    (indptr, indices) that ``csr_from_offspring`` builds from it, once, in
+    the constructor.  Vertex ids are the boundary, then one vertex per
+    internal tree node in preorder.  Face words appear only at the API
     boundary (``word_of``, ``vertex_of``, ``leaf_faces``, ``grow``).
+
+    ``adjacency`` is a list view of the graph, built on its first read and
+    then kept: from then on ``graph`` is rebuilt from the lists on each
+    read, so hand edits of them show.  Only tests that spoil a map use it;
+    it is temporary until they build bad graphs directly (ROADMAP item 1).
     """
 
-    __slots__ = ("family", "tree", "adjacency")
+    __slots__ = ("family", "tree", "_graph", "_adjacency")
 
     #: the root vertex and the next boundary vertex, in every map
     root_edge = (0, 1)
@@ -90,7 +96,11 @@ class StackMap:
             raise ValueError(f"{family} needs arity {k}, got {tree.arity}")
         self.family = family
         self.tree = tree
-        self.adjacency: list[list[int]] = adjacency_from_offspring(tree.offspring, family)
+        graph = csr_from_offspring(tree.offspring, family)
+        for a in graph:
+            a.flags.writeable = False
+        self._graph = graph
+        self._adjacency: list[list[int]] | None = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -104,11 +114,11 @@ class StackMap:
 
     @property
     def n_vertices(self) -> int:
-        return len(self.adjacency)
+        return len(self.graph[0]) - 1
 
     @property
     def n_edges(self) -> int:
-        return sum(len(a) for a in self.adjacency) // 2
+        return int(self.graph[0][-1]) // 2
 
     @property
     def n_insertions(self) -> int:
@@ -139,15 +149,30 @@ class StackMap:
         return self.n_boundary + r
 
     def degree(self, vid: int) -> int:
-        if not 0 <= vid < self.n_vertices:
-            raise ValueError(f"vertex {vid} is not a vertex id 0..{self.n_vertices - 1}")
-        return len(self.adjacency[vid])
+        indptr = self.graph[0]
+        if not 0 <= vid < len(indptr) - 1:
+            raise ValueError(f"vertex {vid} is not a vertex id 0..{len(indptr) - 2}")
+        return int(indptr[vid + 1] - indptr[vid])
 
     @property
     def graph(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR pair (indptr, indices) of the adjacency, rebuilt on each read
-        so that hand edits of the lists show."""
-        return csgraph_from_adjacency(self.adjacency)
+        """CSR pair (indptr, indices) of the map: the stored read-only pair,
+        or, once ``adjacency`` has been read, rebuilt from those lists."""
+        if self._adjacency is None:
+            return self._graph
+        return csgraph_from_adjacency(self._adjacency)
+
+    @property
+    def adjacency(self) -> list[list[int]]:
+        """The rows of ``graph`` as Python lists, built on the first read
+        and kept, so that hand edits of them show in ``graph``."""
+        if self._adjacency is None:
+            self._adjacency = _rows(*self._graph)
+        return self._adjacency
+
+    @adjacency.setter
+    def adjacency(self, adj: list[list[int]]) -> None:
+        self._adjacency = adj
 
     # -- equality: the tree determines the map ------------------------------
 
@@ -223,9 +248,16 @@ def map_from_tree(t: OrderedTree, family: str) -> StackMap:
 # the corners of its birth face (for a quadrangulation, the two ends of that
 # face's active diagonal).  Peeling such vertices off a stack while counting
 # down the degrees of their neighbours gives an insertion history
-# backwards.  Replaying it from the root face, each vertex must land in the
-# live face whose corners (or diagonal) are its peeled-off neighbours; the
-# subdivided faces make up the face tree.  Each vertex is peeled and
+# backwards; the peel records each vertex's live neighbours, its birth set,
+# and the step at which it goes.
+#
+# Replaying the history from the root face rebuilds the face tree.  A birth
+# set that lies wholly on the boundary is the root face, which only the
+# first replayed vertex can take.  Any other vertex x lands in a face of the
+# youngest vertex p of its birth set, its parent: that is the birth
+# neighbour peeled first after x.  The others are corners of p's birth face,
+# and which corners they are gives the letter of x (``_letter_table``).
+# Each (parent, letter) slot may be taken once.  Each vertex is peeled and
 # replayed once and each adjacency entry is read a bounded number of times,
 # so the cost is O(n) and no recursion is involved.
 #
@@ -234,7 +266,7 @@ def map_from_tree(t: OrderedTree, family: str) -> StackMap:
 # listed at both ends (``StackMap.graph`` rejects ids that are no vertex).
 # The peel then raises NotStackMapError on an internal vertex that cannot
 # be peeled or more than the bare boundary cycle left, the replay on a
-# vertex whose neighbours bound no live face.
+# vertex whose neighbours bound no face that is still free.
 
 
 def tree_from_map(m: StackMap) -> OrderedTree:
@@ -259,7 +291,8 @@ def tree_from_map(m: StackMap) -> OrderedTree:
     flat, ends = indices.tolist(), indptr.tolist()
     deg = np.diff(indptr).tolist()
     removed = bytearray(n)
-    birth = [()] * n  # sorted neighbours of each vertex when it was peeled
+    birth = [()] * n  # the live neighbours of each vertex when it was peeled
+    step = [n] * n  # when each vertex was peeled; n for the boundary, never peeled
     order = []
     todo = [x for x in range(nb, n) if deg[x] == k]
     while todo:
@@ -267,9 +300,9 @@ def tree_from_map(m: StackMap) -> OrderedTree:
         if deg[x] != k:
             continue  # lost a neighbour since it was queued: never peelable
         live = [y for y in flat[ends[x]:ends[x + 1]] if not removed[y]]
-        live.sort()
         birth[x] = tuple(live)
         removed[x] = 1
+        step[x] = len(order)
         order.append(x)
         for y in live:
             deg[y] -= 1
@@ -286,19 +319,43 @@ def tree_from_map(m: StackMap) -> OrderedTree:
                 "not just its two boundary neighbours"
             )
     # replay: the j-th replayed vertex is internal node j of the face tree,
-    # in the slot (k * parent + letter - 1) of the live face it lands in
+    # in the slot (k * parent + letter - 1) of the face it lands in; vertex
+    # p is internal node last - step[p]
     split, attach, _ = _SPLIT[m.family]
     root = _ROOT_FACE[m.family]
-    open_faces = {tuple(sorted(root[attach])): (root, -1)}  # -> (corners, slot)
+    letter_of = _letter_table(m.family)
+    last = len(order) - 1
+    face = [root] * n  # the birth face of each replayed vertex, in _SPLIT's corner order
+    taken = bytearray(k * len(order))
     slot: list[int] = []
     for x in reversed(order):
-        face, s = open_faces.pop(birth[x], (None, 0))
-        if face is None:
-            raise NotStackMapError(f"the neighbours {birth[x]} of vertex {x} bound no face")
-        for letter, child in enumerate(split(face, x)):
-            open_faces[tuple(sorted(child[attach]))] = (child, k * len(slot) + letter)
-        slot.append(s)
+        live = birth[x]
+        p = min(live, key=step.__getitem__)
+        if p >= nb:
+            fp = face[p]
+            letter = letter_of.get(tuple([c in live for c in fp]), 0)
+            s = k * (last - step[p]) + letter - 1
+            if letter and not taken[s]:
+                taken[s] = 1
+                face[x] = split(fp, p)[letter - 1]
+                slot.append(s)
+                continue
+        elif not slot and sorted(live) == sorted(root[attach]):
+            slot.append(-1)
+            continue
+        raise NotStackMapError(f"the neighbours {tuple(sorted(live))} of vertex {x} bound no face")
     return IncreasingTree(k, slot).shape()
+
+
+@cache
+def _letter_table(family: str) -> dict[tuple[bool, ...], int]:
+    """The letter of each child of a face, keyed by the child's joined
+    corners other than the new vertex: one flag per corner of the face, in
+    ``_SPLIT``'s order, set where that corner is one of them."""
+    split, attach, _ = _SPLIT[family]
+    corners = tuple(range(_N_BOUNDARY[family]))
+    return {tuple(c in child[attach] for c in corners): letter
+            for letter, child in enumerate(split(corners, -1), 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +449,9 @@ def csr_from_offspring(offspring, family: str) -> tuple[np.ndarray, np.ndarray]:
     """CSR adjacency (indptr, indices) of the map of the tree given as a
     preorder offspring sequence: ``csr_from_links`` of its links.
 
-    This is the one map builder from offspring: ``adjacency_from_offspring``
-    (and through it ``StackMap``) reads its rows, and Monte-Carlo code runs
-    BFS on it straight from sampled offspring arrays.
+    This is the one map builder from offspring: ``StackMap`` keeps its
+    result, ``adjacency_from_offspring`` reads its rows, and Monte-Carlo
+    code runs BFS on it straight from sampled offspring arrays.
     """
     return csr_from_links(*preorder_links(_ARITY[family], offspring), family)
 
@@ -402,7 +459,11 @@ def csr_from_offspring(offspring, family: str) -> tuple[np.ndarray, np.ndarray]:
 def adjacency_from_offspring(offspring, family: str) -> list[list[int]]:
     """Adjacency lists of the map of the tree given as a preorder offspring
     sequence: the rows of ``csr_from_offspring``, as Python lists."""
-    indptr, indices = csr_from_offspring(offspring, family)
+    return _rows(*csr_from_offspring(offspring, family))
+
+
+def _rows(indptr, indices) -> list[list[int]]:
+    """The rows of a CSR pair as Python lists."""
     flat, ends = indices.tolist(), indptr.tolist()
     return [flat[a:b] for a, b in zip(ends, ends[1:])]
 

@@ -193,8 +193,14 @@ class OrderedTree:
         return np.flatnonzero(self.offspring).tolist()
 
     def internal_words(self) -> list[Word]:
-        ws = self.words()
-        return [ws[i] for i in self.internal_indices()]
+        """Words of the internal nodes in preorder, each built from its
+        parent's, which is internal too: no leaf word is made."""
+        nav = self._arrays()
+        parent, letter, rank = nav.parent, nav.letter, nav.rank
+        out: list[Word] = [()] * len(nav.internal)
+        for r, i in enumerate(nav.internal[1:], 1):
+            out[r] = out[rank[parent[i]]] + (letter[i],)
+        return out
 
     # -- constructors ------------------------------------------------------
 

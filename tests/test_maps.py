@@ -170,6 +170,46 @@ def test_map_round_trip_builds_no_navigation_arrays(family, arity):
     assert t._nav is None and recovered._nav is None
 
 
+@pytest.mark.parametrize("family, arity", [(TRIANGULATION, 3), (QUADRANGULATION, 2)])
+def test_stackmap_keeps_the_csr_it_builds(family, arity):
+    t = sample_uniform_tree(arity, 300, rng_from_seed(22))
+    m = map_from_tree(t, family)
+    assert m.graph is m.graph
+    indptr, indices = m.graph
+    ref = csr_from_offspring(t.offspring, family)
+    assert np.array_equal(indptr, ref[0]) and np.array_equal(indices, ref[1])
+    for a in m.graph:
+        assert a.dtype == np.int64 and not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
+    assert (m.n_vertices, m.n_edges) == (len(ref[0]) - 1, len(ref[1]) // 2)
+    assert [m.degree(v) for v in range(m.n_vertices)] == np.diff(ref[0]).tolist()
+
+
+@pytest.mark.parametrize("family, arity", [(TRIANGULATION, 3), (QUADRANGULATION, 2)])
+def test_map_readers_build_no_adjacency_lists(family, arity, monkeypatch):
+    def rows(*_):
+        raise AssertionError("adjacency lists built")
+
+    monkeypatch.setattr(maps, "_rows", rows)
+    t = sample_uniform_tree(arity, 300, rng_from_seed(23))
+    m = map_from_tree(t, family)
+    m.to_json()
+    assert tree_from_map(m) == t
+    distance_matrix(m, [0, 5])
+    assert [m.vertex_of(w) for w in t.internal_words()] == list(range(m.n_boundary, m.n_vertices))
+
+
+def test_adjacency_lists_are_kept_and_edits_show():
+    m = map_from_tree(OrderedTree(3, [3, 0, 0, 0]), TRIANGULATION)
+    stored = m.graph
+    adj = m.adjacency
+    assert m.adjacency is adj and adj == [[1, 2, 3], [0, 2, 3], [1, 0, 3], [0, 1, 2]]
+    assert m.graph is not stored and np.array_equal(m.graph[1], stored[1])
+    adj.append([])
+    assert (m.n_vertices, m.degree(4)) == (5, 0)
+
+
 def test_roundtrip_exhaustive_small():
     for family, arity in ((TRIANGULATION, 3), (QUADRANGULATION, 2)):
         for n in range(5):
@@ -264,6 +304,19 @@ def _two_in_one_face(m: StackMap) -> None:
     _set_edges(m, 6, ring + [(x, c) for x in (4, 5) for c in (0, 1, 3)])
 
 
+def _two_in_root_face(m: StackMap) -> None:
+    """3 and 4 each joined to the three corners of the triangle: only one
+    of them can take the root face."""
+    _set_edges(m, 5, [(0, 1), (1, 2), (2, 0)] + [(x, c) for x in (3, 4) for c in (0, 1, 2)])
+
+
+def _wrong_diagonal(m: StackMap) -> None:
+    """The bare square with vertex 4 joined to 1 and 3, the ends of the
+    diagonal that the root face does not subdivide on."""
+    ring = [(0, 1), (1, 2), (2, 3), (3, 0)]
+    _set_edges(m, 5, ring + [(4, 1), (4, 3)])
+
+
 def _boundary_end_only(m: StackMap) -> None:
     """The one-insertion map with the edge 0-3 dropped from the row of 3."""
     _set_edges(m, 4, [(0, 1), (1, 2), (2, 0), (3, 0), (3, 1), (3, 2)])
@@ -282,9 +335,14 @@ def _boundary_end_only(m: StackMap) -> None:
         (TRIANGULATION, _two_in_one_face,
          re.escape("the neighbours (0, 1, 3) of vertex 5 bound no face")),
         (TRIANGULATION, _boundary_end_only, "^edge 0-3 is listed at 0 only$"),
+        (QUADRANGULATION, _wrong_diagonal,
+         re.escape("the neighbours (1, 3) of vertex 4 bound no face")),
+        (TRIANGULATION, _two_in_root_face,
+         re.escape("the neighbours (0, 1, 2) of vertex 4 bound no face")),
     ],
     ids=["boundary-chord", "doubled-edge", "loop", "pendant-vertex", "one-sided-edge",
-         "id-out-of-range", "replay-no-face", "one-sided-at-boundary-end"],
+         "id-out-of-range", "replay-no-face", "one-sided-at-boundary-end", "wrong-diagonal",
+         "two-in-root-face"],
 )
 def test_tree_from_map_rejects_spoiled_map(family, spoil, match):
     arity = 3 if family == TRIANGULATION else 2

@@ -52,6 +52,18 @@ def test_words_roundtrip_small():
     assert t.internal_words() == [(), (2,)]
 
 
+@pytest.mark.parametrize("arity", [2, 3])
+def test_internal_words_are_the_words_of_the_internal_nodes(arity):
+    rng = rng_from_seed(24)
+    cases = [OrderedTree.single_leaf(arity),
+             OrderedTree.from_internal_words(arity, [(1,) * k for k in range(2000)])]
+    cases += [sample_uniform_tree(arity, n, rng) for n in (1, 2, 10, 500)]
+    cases += [sample_increasing_tree(arity, 300, rng).shape()]
+    for t in cases:
+        ws = t.words()
+        assert t.internal_words() == [ws[i] for i in t.internal_indices()]
+
+
 def test_children_not_contiguous():
     # root has an internal first child, so sibling 2 is far from sibling 1
     t = OrderedTree(3, [3, 3, 0, 0, 0, 0, 0])
