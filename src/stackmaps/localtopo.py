@@ -9,10 +9,12 @@ and maps through their rotation systems.
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import maps as maps_mod
 from . import passage
 from .maps import StackMap, distance_matrix, rotation_system
-from .trees import CapExceeded, IncreasingTree, OrderedTree, Word
+from .trees import CapExceeded, IncreasingTree, OrderedTree, Word, _depths
 
 
 # ---------------------------------------------------------------------------
@@ -61,10 +63,8 @@ def _tree_balls(t: OrderedTree):
     """(r -> ball code of t at radius r, height of t).  The code is the
     preorder offspring sequence of t cut at depth r: equal for two trees iff
     their nodes of depth <= r are."""
-    parent, offspring = t.parent, t.offspring.tolist()
-    depth = [0] * len(t)
-    for i in range(1, len(t)):
-        depth[i] = depth[parent[i]] + 1
+    offspring = t.offspring.tolist()
+    depth = _depths(np.array(t.parent)).tolist()
 
     def ball(r: int) -> list[int]:
         return [c if d < r else 0 for c, d in zip(offspring, depth) if d <= r]

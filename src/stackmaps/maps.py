@@ -170,10 +170,6 @@ class StackMap:
             self._adjacency = _rows(*self._graph)
         return self._adjacency
 
-    @adjacency.setter
-    def adjacency(self, adj: list[list[int]]) -> None:
-        self._adjacency = adj
-
     # -- equality: the tree determines the map ------------------------------
 
     def __eq__(self, other) -> bool:
@@ -261,9 +257,10 @@ def map_from_tree(t: OrderedTree, family: str) -> StackMap:
 # replayed once and each adjacency entry is read a bounded number of times,
 # so the cost is O(n) and no recursion is involved.
 #
-# Only the graph is read, so this doubles as a recognition test.  A numpy
-# check of the CSR pair comes first: no loop, no repeated edge, each edge
-# listed at both ends (``StackMap.graph`` rejects ids that are no vertex).
+# Only the graph is read, so this doubles as a recognition test.  A vertex
+# count and a numpy check of the CSR pair come first: at least the boundary's
+# vertices, no loop, no repeated edge, each edge listed at both ends
+# (``StackMap.graph`` rejects ids that are no vertex).
 # The peel then raises NotStackMapError on an internal vertex that cannot
 # be peeled or more than the bare boundary cycle left, the replay on a
 # vertex whose neighbours bound no face that is still free.
@@ -274,6 +271,9 @@ def tree_from_map(m: StackMap) -> OrderedTree:
     NotStackMapError if the graph is not a stack-map of ``m.family``."""
     indptr, indices = m.graph
     n, nb, k = len(indptr) - 1, m.n_boundary, m.arity
+    if n < nb:
+        raise NotStackMapError(f"the graph has {n} vertices, fewer than the {nb} "
+                               f"boundary vertices of a {m.family}")
     # the entry v in row u is the key n * u + v; with no key repeated, each
     # edge is listed at both ends iff the reversed keys are the same set
     rows = np.repeat(np.arange(n), np.diff(indptr))
@@ -416,7 +416,7 @@ def csr_from_links(parent, letter, family: str) -> tuple[np.ndarray, np.ndarray]
     comes before it with a letter in 1..arity; that the arrays list a
     tree's nodes in preorder is not checked.
     """
-    nb, k = _N_BOUNDARY[family], _ARITY[family]
+    k, nb = _arity(family), _N_BOUNDARY[family]
     parent = np.asarray(parent, dtype=np.int64)
     letter = np.asarray(letter, dtype=np.int64)
     K = len(parent)
@@ -453,7 +453,7 @@ def csr_from_offspring(offspring, family: str) -> tuple[np.ndarray, np.ndarray]:
     result, ``adjacency_from_offspring`` reads its rows, and Monte-Carlo
     code runs BFS on it straight from sampled offspring arrays.
     """
-    return csr_from_links(*preorder_links(_ARITY[family], offspring), family)
+    return csr_from_links(*preorder_links(_arity(family), offspring), family)
 
 
 def adjacency_from_offspring(offspring, family: str) -> list[list[int]]:
@@ -561,7 +561,7 @@ def degree_via_tree(t: OrderedTree, u: Word, family: str) -> int:
     Triangulation: 3 plus the number of internal descendants u·w where w
     starts with some letter i and then avoids i.  Quadrangulation: 2 plus
     the number of internal descendants whose face still holds the vertex on
-    its active diagonal (position automaton in _QUAD_DEGREE; accepted words
+    its active diagonal (position automaton ``_degree_table``; accepted words
     are exactly {1,2} ∪ {1,2}{1,2}1({1,2}2)*).
     """
     return _degree(t.offspring, t.index_of(tuple(u)), family)
@@ -573,11 +573,13 @@ def degree_via_tree(t: OrderedTree, u: Word, family: str) -> int:
 # ending in that state is accepted.
 
 
+@cache
 def _degree_table(family: str):
-    """The family's degree automaton, read off its subdivision rule: state
-    0 is the node's vertex, state 1 + p that vertex at corner p of the
-    current face.  Letter l moves it to its corner in child l (None if child
-    l lacks it), and subdividing the face gives it an edge iff p is joined."""
+    """The family's degree automaton, read off its subdivision rule on
+    first use: state 0 is the node's vertex, state 1 + p that vertex at
+    corner p of the current face.  Letter l moves it to its corner in child
+    l (None if child l lacks it), and subdividing the face gives it an edge
+    iff p is joined."""
     split, attach, _ = _SPLIT[family]
     states = range(-1, _N_BOUNDARY[family])
     source = split(tuple(states[1:]), -1)  # the new vertex is corner -1
@@ -585,24 +587,20 @@ def _degree_table(family: str):
     return nxt, tuple(p in states[1:][attach] for p in states)
 
 
-_DEGREE_TABLE = {family: _degree_table(family) for family in _SPLIT}
-_TRI_DEGREE, _QUAD_DEGREE = _DEGREE_TABLE[TRIANGULATION], _DEGREE_TABLE[QUADRANGULATION]
-
-
 def _degree(offspring, i: int, family: str) -> int:
     """Map degree of the vertex of internal node i: the arity (its birth
     edges) plus the internal descendants the family's automaton accepts.
     ValueError if i is a leaf, which has no vertex, or no node id.  The walk
     reads a memoryview, whose entries are Python ints, as a list's are."""
+    k = _arity(family)
     if not 0 <= i < len(offspring):
         raise ValueError(f"node {i} is not a node id 0..{len(offspring) - 1}")
     if not offspring[i]:
         raise ValueError(f"node {i} is a leaf, which has no vertex")
-    k = _ARITY[family]
     if offspring[i] != k:  # read before the int64 cast, which would truncate 3.5
         raise ValueError(f"node {i} has {offspring[i]} children; a {family} node has {k}")
     walk = memoryview(np.ascontiguousarray(offspring, dtype=np.int64))
-    return k + _count_accepted(walk, i, k, _DEGREE_TABLE[family])
+    return k + _count_accepted(walk, i, k, _degree_table(family))
 
 
 def _count_accepted(offspring, i: int, arity: int, table) -> int:

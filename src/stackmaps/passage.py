@@ -74,10 +74,17 @@ def gamma_pair(u: Word, v: Word) -> int:
     """Sum of the block counts of the suffixes of u and v past their last
     common ancestor.  Defined only when neither word is a prefix of the
     other (ancestor pairs have no two-sided decomposition)."""
+    return _past_lca(u, v, gamma, "gamma_pair")
+
+
+def _past_lca(u: Word, v: Word, count, name: str) -> int:
+    """``count`` of the suffix of u past the lca of u and v, plus that of
+    v's; ValueError, naming the caller ``name``, if either word is a prefix
+    of the other."""
     w = lca(u, v)
     if len(w) == len(u) or len(w) == len(v):
-        raise ValueError("gamma_pair requires that neither word is an ancestor of the other")
-    return gamma(u[len(w):]) + gamma(v[len(w):])
+        raise ValueError(f"{name} requires that neither word is an ancestor of the other")
+    return count(u[len(w):]) + count(v[len(w):])
 
 
 def tri_type(word: Word) -> tuple[int, int, int]:
@@ -209,9 +216,4 @@ def gamma_prime_literal(word: Word) -> int:
 def gamma_prime_pair(u: Word, v: Word) -> int:
     """Pair version of the binary passage count through the lca, with the
     type-automaton distance ``quad_root_distance``."""
-    w = lca(u, v)
-    if len(w) == len(u) or len(w) == len(v):
-        raise ValueError(
-            "gamma_prime_pair requires that neither word is an ancestor of the other"
-        )
-    return quad_root_distance(u[len(w):]) + quad_root_distance(v[len(w):])
+    return _past_lca(u, v, quad_root_distance, "gamma_prime_pair")

@@ -442,7 +442,7 @@ def _degree_uniform(seed, n, reps):
          "histogram": {str(k): emp.counts[k] for k in sorted(emp.counts)}},
         {},
         [{"name": "pmf", "value": "limit_deg_uniform", "provenance": "analytic-formula"}],
-        p > 0.01,
+        None if math.isnan(p) else p > 0.01,  # NaN: too few cells to test
     )
 
 
@@ -469,7 +469,7 @@ def _subtree_size(seed, n, reps, kmax):
         {"chi2_pvalue": p, "dropped_beyond_kmax": dropped},
         {},
         [{"name": "pmf", "value": "subtree_size", "provenance": "analytic-formula"}],
-        p > 0.01,
+        None if math.isnan(p) else p > 0.01,  # NaN: too few cells to test
     )
 
 

@@ -10,6 +10,7 @@ is computed on demand.
 from __future__ import annotations
 
 from functools import cache
+from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
@@ -285,6 +286,10 @@ class IncreasingTree:
         if slot.ndim != 1:
             raise ValueError(f"slot list is not one-dimensional: shape {slot.shape}")
         if slot.dtype != np.int64:
+            if slot.dtype.kind not in "biuf":  # strings, None or other objects
+                for k, x in enumerate(slot.tolist()):
+                    if not isinstance(x, Real):
+                        raise ValueError(f"slot {x!r} of node {k} is not a number")
             if (frac := slot % 1 != 0).any():  # the cast would truncate it
                 k = frac.argmax()
                 raise ValueError(f"slot {slot[k]} of node {k} is not an integer")
@@ -394,8 +399,13 @@ class IncreasingTree:
 
     def depths(self) -> np.ndarray:
         """Depths of the internal nodes in insertion order."""
-        slot = self.slot  # the root, in slot -1, is its own parent, with no edge up
-        return _root_path_sum(np.maximum(slot // self.arity, 0), (slot >= 0).astype(np.int64))
+        return _depths(self.slot // self.arity)  # the root, in slot -1, has parent -1
+
+
+def _depths(parent: np.ndarray) -> np.ndarray:
+    """Depth of each node of a tree given by ``parent``, with the root at 0
+    and its parent -1: ``_root_path_sum`` of one edge up per other node."""
+    return _root_path_sum(np.maximum(parent, 0), (parent >= 0).astype(np.int64))
 
 
 def _root_path_sum(parent: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -420,11 +430,7 @@ def _root_path_sum(parent: np.ndarray, weight: np.ndarray) -> np.ndarray:
 
 def height_process(t: OrderedTree) -> list[int]:
     """Depths of the internal nodes taken in lexicographic order."""
-    parent = t.parent
-    depths = [0] * len(t)
-    for i in range(1, len(t)):
-        depths[i] = depths[parent[i]] + 1
-    return [depths[i] for i in t.internal_indices()]
+    return _depths(preorder_links(t.arity, t.offspring)[0]).tolist()
 
 
 def tree_distance(u: Word, v: Word) -> int:

@@ -56,12 +56,19 @@ def check_quad_parity(level, mx):
     return True, f"depth<={depth}"
 
 
-def check_roundtrip(level, mx):
-    for fam, arity in maps._ARITY.items():
+def _exhaustive_maps(mx, families=tuple(maps._ARITY)):
+    """(family, n, tree, map) for every tree with n <= mx internal nodes,
+    family by family, n by n, the trees in enumeration order."""
+    for fam in families:
         for n in range(mx + 1):
-            for t in trees.enumerate_trees(arity, n):
-                if maps.tree_from_map(maps.map_from_tree(t, fam)) != t:
-                    return False, f"{fam} n={n}"
+            for t in trees.enumerate_trees(maps._ARITY[fam], n):
+                yield fam, n, t, maps.map_from_tree(t, fam)
+
+
+def check_roundtrip(level, mx):
+    for fam, n, t, m in _exhaustive_maps(mx):
+        if maps.tree_from_map(m) != t:
+            return False, f"{fam} n={n}"
     return True, f"exhaustive n<={mx}"
 
 
@@ -78,42 +85,31 @@ def check_euler(level, mx):
 
 
 def check_root_distance(level, mx):
-    for fam, arity, f in (
-        (maps.TRIANGULATION, 3, gamma),
-        (maps.QUADRANGULATION, 2, quad_root_distance),
-    ):
-        for n in range(1, mx + 1):
-            for t in trees.enumerate_trees(arity, n):
-                m = maps.map_from_tree(t, fam)
-                d = maps.distance_matrix(m, sources=[0])[0]
-                for w in t.internal_words():
-                    if d[m.vertex_of(w)] != f(w):
-                        return False, f"{fam} {w}"
+    root_distance = {maps.TRIANGULATION: gamma, maps.QUADRANGULATION: quad_root_distance}
+    for fam, _, t, m in _exhaustive_maps(mx):
+        d = maps.distance_matrix(m, sources=[0])[0]
+        for w in t.internal_words():
+            if d[m.vertex_of(w)] != root_distance[fam](w):
+                return False, f"{fam} {w}"
     return True, f"exhaustive n<={mx}"
 
 
 def check_pair_bound(level, mx):
-    for n in range(2, mx + 1):
-        for t in trees.enumerate_trees(3, n):
-            m = maps.map_from_tree(t, maps.TRIANGULATION)
-            D = maps.distance_matrix(m)
-            iw = t.internal_words()
-            for a, b in itertools.combinations(iw, 2):
-                if a == b[: len(a)] or b == a[: len(b)]:
-                    continue
-                if abs(D[m.vertex_of(a), m.vertex_of(b)] - gamma_pair(a, b)) > 4:
-                    return False, f"{a},{b}"
+    for _, _, t, m in _exhaustive_maps(mx, (maps.TRIANGULATION,)):
+        D = maps.distance_matrix(m)
+        for a, b in itertools.combinations(t.internal_words(), 2):
+            if a == b[: len(a)] or b == a[: len(b)]:
+                continue
+            if abs(D[m.vertex_of(a), m.vertex_of(b)] - gamma_pair(a, b)) > 4:
+                return False, f"{a},{b}"
     return True, f"exhaustive n<={mx}"
 
 
 def check_degrees(level, mx):
-    for fam, arity in maps._ARITY.items():
-        for n in range(1, mx + 1):
-            for t in trees.enumerate_trees(arity, n):
-                m = maps.map_from_tree(t, fam)
-                for w in t.internal_words():
-                    if m.degree(m.vertex_of(w)) != maps.degree_via_tree(t, w, fam):
-                        return False, f"{fam} {w}"
+    for fam, _, t, m in _exhaustive_maps(mx):
+        for w in t.internal_words():
+            if m.degree(m.vertex_of(w)) != maps.degree_via_tree(t, w, fam):
+                return False, f"{fam} {w}"
     return True, f"exhaustive n<={mx}"
 
 

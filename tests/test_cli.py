@@ -324,13 +324,15 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_cli_import_builds_no_face_type_table():
-    # the tables are built on first use, not when the CLI starts
-    code = ("import stackmaps.cli, stackmaps.passage as p; "
-            "print(p._type_table.cache_info().currsize)")
+    # the tables are built on first use, not when the CLI starts: the
+    # face-type automata, the degree automata and the replay's letter tables
+    code = ("import stackmaps.cli, stackmaps.passage as p, stackmaps.maps as m; "
+            "print([f.cache_info().currsize for f in "
+            "(p._type_table, m._degree_table, m._letter_table)])")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                        env=subprocess_env())
     assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "0"
+    assert r.stdout.strip() == "[0, 0, 0]"
 
 
 def test_chisquare_experiment_loads_no_scipy_stats():

@@ -245,8 +245,9 @@ def test_map_from_tree_injective_small():
 
 
 def _set_edges(m: StackMap, n: int, edges) -> None:
-    """Replace m's graph by n vertices and the given edges."""
-    m.adjacency = [[] for _ in range(n)]
+    """Replace m's graph by n vertices and the given edges, in the kept
+    adjacency lists."""
+    m.adjacency[:] = [[] for _ in range(n)]
     for u, v in edges:
         _add_edge(m, u, v)
 
@@ -339,10 +340,16 @@ def _boundary_end_only(m: StackMap) -> None:
          re.escape("the neighbours (1, 3) of vertex 4 bound no face")),
         (TRIANGULATION, _two_in_root_face,
          re.escape("the neighbours (0, 1, 2) of vertex 4 bound no face")),
+        (TRIANGULATION, lambda m: _set_edges(m, 2, [(0, 1)]),
+         "^the graph has 2 vertices, fewer than the 3 boundary vertices of a triangulation$"),
+        (TRIANGULATION, lambda m: _set_edges(m, 0, []),
+         "^the graph has 0 vertices, fewer than the 3 boundary vertices of a triangulation$"),
+        (QUADRANGULATION, lambda m: _set_edges(m, 3, [(0, 1), (1, 2), (2, 0)]),
+         "^the graph has 3 vertices, fewer than the 4 boundary vertices of a quadrangulation$"),
     ],
     ids=["boundary-chord", "doubled-edge", "loop", "pendant-vertex", "one-sided-edge",
          "id-out-of-range", "replay-no-face", "one-sided-at-boundary-end", "wrong-diagonal",
-         "two-in-root-face"],
+         "two-in-root-face", "tri-two-vertices", "tri-no-vertex", "quad-three-vertices"],
 )
 def test_tree_from_map_rejects_spoiled_map(family, spoil, match):
     arity = 3 if family == TRIANGULATION else 2
@@ -468,8 +475,8 @@ def test_degree_literal_quad_on_leaves():
 
 
 @pytest.mark.parametrize("arity, table, language", [
-    (3, maps._TRI_DEGREE, r"1[23]*|2[13]*|3[12]*"),
-    (2, maps._QUAD_DEGREE, r"[12]|[12][12]1([12]2)*"),
+    (3, maps._degree_table(TRIANGULATION), r"1[23]*|2[13]*|3[12]*"),
+    (2, maps._degree_table(QUADRANGULATION), r"[12]|[12][12]1([12]2)*"),
     (2, _QUAD_LITERAL, r"(12|21)+"),
 ], ids=["tri", "quad", "quad-literal"])
 def test_degree_tables_accept_their_languages(arity, table, language):
@@ -492,10 +499,10 @@ def test_degree_tables_accept_their_languages(arity, table, language):
 def test_tables_read_off_the_subdivision_rule_are_the_hand_typed_ones():
     # the degree tables, state numbering included, so _count_accepted walks
     # as before; the ring rows in the order the ring edges are made
-    assert maps._TRI_DEGREE == ((1, 2, 3, None, 1, 1, 2, None, 2, 3, 3, None),
-                                (False, True, True, True))
-    assert maps._QUAD_DEGREE == ((2, 2, 4, None, 1, 1, None, 4, 3, 3),
-                                 (False, False, True, False, True))
+    assert maps._degree_table(TRIANGULATION) == ((1, 2, 3, None, 1, 1, 2, None, 2, 3, 3, None),
+                                                 (False, True, True, True))
+    assert maps._degree_table(QUADRANGULATION) == ((2, 2, 4, None, 1, 1, None, 4, 3, 3),
+                                                   (False, False, True, False, True))
     assert maps._RING_ROWS == {TRIANGULATION: ((1, 2), (0, 2), (1, 0)),
                                QUADRANGULATION: ((1, 3), (0, 2), (1, 3), (2, 0))}
 
@@ -718,6 +725,15 @@ def test_unknown_family_is_a_value_error():
         map_from_history([()], "x")
     with pytest.raises(ValueError, match="unknown family 'x'"):
         StackMap("x")
+    # the array builders and the degree walks read the family the same way
+    t = OrderedTree(3, [3, 0, 0, 0])
+    for call in (lambda: csr_from_offspring(t.offspring, "x"),
+                 lambda: csr_from_links([-1], [0], "x"),
+                 lambda: adjacency_from_offspring(t.offspring, "x"),
+                 lambda: degree_via_tree(t, (), "x"),
+                 lambda: degree_from_offspring(t.offspring, 0, "x")):
+        with pytest.raises(ValueError, match="^unknown family 'x'$"):
+            call()
 
 
 def test_drawing_and_svg():

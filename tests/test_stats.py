@@ -310,3 +310,14 @@ def test_bad_parameter_value_rejected_before_any_draw(name, params, match, monke
     monkeypatch.setitem(EXPERIMENTS, name, (measure, EXPERIMENTS[name][1]))
     with pytest.raises(ValueError, match=f"^{name}: {re.escape(match)}$"):
         run_experiment(name, params, 0)
+
+
+@pytest.mark.parametrize("name, params, seed", [
+    ("degree-uniform", {"n": 2, "reps": 1}, 0),
+    ("subtree-size", {"reps": 1}, 1),  # at seed 0 the one subtree is past kmax: no sample
+])
+def test_no_verdict_when_no_chi_square_test_ran(name, params, seed):
+    # one replica fills one cell, too few for the test: NaN and no verdict
+    r = run_experiment(name, params, seed)
+    assert math.isnan(r.estimates["chi2_pvalue"]) and r.passed is None
+    assert json.loads(r.to_json())["passed"] is None

@@ -382,6 +382,10 @@ def test_height_process_matches_word_depths():
     t = sample_uniform_tree(3, 50, rng)
     hp = height_process(t)
     assert hp == [len(w) for w in t.internal_words()]
+    for arity in (2, 3):  # the single leaf has no internal node; the path 1^2000 is deep
+        assert height_process(OrderedTree.single_leaf(arity)) == []
+        path = OrderedTree(arity, [arity] * 2000 + [0] * ((arity - 1) * 2000 + 1))
+        assert height_process(path) == list(range(2000))
 
 
 def test_sample_uniform_tree_valid_and_uniform():
@@ -554,6 +558,8 @@ def _check_against_reference(it):
     ([0, 0], "slot 0 is 0, not -1"),
     ([-1, 0.5, 2.9], r"^slot 0\.5 of node 1 is not an integer$"),  # the cast gave [-1, 0, 2]
     ([[-1]], r"^slot list is not one-dimensional: shape \(1, 1\)$"),
+    (["-1"], r"^slot '-1' of node 0 is not a number$"),
+    ([-1, None], r"^slot None of node 1 is not a number$"),
 ])
 def test_increasing_tree_rejects_a_slot_list_that_is_no_tree(slot, match):
     with pytest.raises(ValueError, match=match):
