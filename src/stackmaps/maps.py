@@ -406,17 +406,12 @@ def _birth_faces(parent: np.ndarray, letter: np.ndarray, family: str) -> np.ndar
     return vertex[ptr].reshape(K, f)
 
 
-def csr_from_links(parent, letter, family: str) -> tuple[np.ndarray, np.ndarray]:
-    """CSR adjacency (indptr, indices) of the map of the tree given by the
-    parent and letter of each internal node in preorder, as
-    ``IncreasingTree.links`` and ``trees.preorder_links`` give them.
-    Vertex ids: boundary first, then internal nodes in preorder.
-
-    ValueError unless the root comes first and every other node's parent
+def _checked_links(parent, letter, family: str) -> tuple[np.ndarray, np.ndarray]:
+    """The parent and letter arrays as int64.  ValueError on an unknown
+    family, or unless the root comes first and every other node's parent
     comes before it with a letter in 1..arity; that the arrays list a
-    tree's nodes in preorder is not checked.
-    """
-    k, nb = _arity(family), _N_BOUNDARY[family]
+    tree's nodes in preorder is not checked."""
+    k = _arity(family)
     parent = np.asarray(parent, dtype=np.int64)
     letter = np.asarray(letter, dtype=np.int64)
     K = len(parent)
@@ -424,6 +419,19 @@ def csr_from_links(parent, letter, family: str) -> tuple[np.ndarray, np.ndarray]
             or not ((0 <= parent[1:]) & (parent[1:] < np.arange(1, K))).all()
             or not ((1 <= letter[1:]) & (letter[1:] <= k)).all()):
         raise ValueError("links are not a tree's parents and letters in preorder")
+    return parent, letter
+
+
+def csr_from_links(parent, letter, family: str) -> tuple[np.ndarray, np.ndarray]:
+    """CSR adjacency (indptr, indices) of the map of the tree given by the
+    parent and letter of each internal node in preorder, as
+    ``IncreasingTree.links`` and ``trees.preorder_links`` give them.
+    Vertex ids: boundary first, then internal nodes in preorder.
+
+    ValueError as in ``_checked_links``.
+    """
+    parent, letter = _checked_links(parent, letter, family)
+    k, nb, K = _ARITY[family], _N_BOUNDARY[family], len(parent)
     corners = _birth_faces(parent, letter, family)[:, _SPLIT[family][1]].ravel()
     n = nb + K
     # row v is its head (a boundary vertex's two ring neighbours, an internal
@@ -549,6 +557,77 @@ def bfs_distance(m: StackMap, u: int, v: int) -> int:
     if not 0 <= v < m.n_vertices:
         raise ValueError(f"vertex {v} is not a vertex id 0..{m.n_vertices - 1}")
     return int(distance_matrix(m, sources=[u])[0, v])
+
+
+# Exact distances from the face tree alone.  A face's corner cycle separates
+# the vertices inside it from the rest of the map, so a shortest path from a
+# vertex inside a face to any point outside it leaves through a corner.  A
+# vertex's distances to the f + 1 points of the face of an ancestor node
+# (its f corners, then the node's vertex) therefore give those to the points
+# of the parent's face: each corner of the child face is a point of the
+# parent's face (``_SPLIT``), and the distances between the points of one
+# face are a fixed metric, the same in the whole map as in the face's cycle
+# with its vertex joined to the joined corners (tri: all 1; quad: a pair at
+# distance 2 there has the same colour in the bipartite map, so is not
+# adjacent).
+
+
+@cache
+def _lift_table(family: str) -> tuple[np.ndarray, np.ndarray]:
+    """``(metric, lift)``: the (f+1)×(f+1) metric on a face's corners and
+    its vertex (point f), and ``lift[l - 1, j]``, the metric's row of the
+    point of the parent's face that is corner j of child l."""
+    split, attach, _ = _SPLIT[family]
+    f = _N_BOUNDARY[family]
+    ring = np.arange(f)
+    metric = np.full((f + 1, f + 1), f + 1, dtype=np.int64)
+    np.fill_diagonal(metric, 0)
+    metric[ring, (ring + 1) % f] = metric[(ring + 1) % f, ring] = 1
+    metric[f, ring[attach]] = metric[ring[attach], f] = 1
+    for p in range(f + 1):  # Floyd-Warshall on the face and its vertex
+        metric = np.minimum(metric, metric[:, p, None] + metric[p])
+    return metric, metric[np.array(split(tuple(ring), f))]
+
+
+def pair_distances(parent, letter, family: str, u, v) -> np.ndarray:
+    """Map distances between the vertices of internal nodes u[i] and v[i],
+    read off the face tree given by its links, as ``csr_from_links`` reads
+    them, with no map built: node r is vertex n_boundary + r.  The result
+    has the shape of u.  ValueError on bad links or an unknown family (as
+    in ``_checked_links``), on shapes of u and v that differ, or on a node
+    id outside 0..K-1.
+
+    Each side holds a vertex's distances to the points of the face of one
+    of its ancestors, at first its own node (the metric's vertex row).  A
+    lift moves it to the parent's face: E'[q] = min_j E[j] + metric[s_j, q]
+    over the corners j of the current face, s_j their points in the
+    parent's.  Each node's parent comes before it, so of two distinct nodes
+    the later one is no ancestor of the other: lifting it never passes
+    their LCA.  One numpy step lifts the later side of every pair still
+    apart.  At the LCA, d(u, v) = min_q E_u[q] + E_v[q]: a path between two
+    child faces passes through the corners of both, and if v is the LCA,
+    E_v is its vertex row and the minimum is E_u at v.
+    """
+    parent, letter = _checked_links(parent, letter, family)
+    u, v = np.asarray(u), np.asarray(v)
+    if u.shape != v.shape:
+        raise ValueError(f"node id arrays have different shapes {u.shape} and {v.shape}")
+    K = len(parent)
+    for ids in (u, v):
+        if ids.size and (ids.dtype.kind not in "iu" or not 0 <= ids.min() <= ids.max() < K):
+            raise ValueError(f"node ids must be integers in 0..{K - 1}")
+    metric, lift = _lift_table(family)
+    f = len(metric) - 1
+    node = np.stack((u.ravel(), v.ravel()), axis=1).astype(np.int64)
+    dist = np.broadcast_to(metric[f], node.shape + (f + 1,)).copy()
+    todo = np.flatnonzero(node[:, 0] != node[:, 1])
+    while todo.size:
+        side = (node[todo, 1] > node[todo, 0]).astype(np.intp)
+        r = node[todo, side]
+        dist[todo, side] = (dist[todo, side, :f, None] + lift[letter[r] - 1]).min(axis=1)
+        node[todo, side] = parent[r]
+        todo = todo[node[todo, 0] != node[todo, 1]]
+    return (dist[:, 0] + dist[:, 1]).min(axis=1).reshape(u.shape)
 
 
 # ---------------------------------------------------------------------------

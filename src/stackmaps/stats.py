@@ -359,12 +359,12 @@ def _quad_rate(seed, n, reps):
 
 def _distance_ratio(n, rng) -> float:
     """Distance between two uniform internal vertices of a growth-law
-    triangulation, over (6/11)·log n."""
-    links = trees_mod.sample_increasing_tree(3, n, rng).links()
-    graph = maps_mod.csr_from_links(*links, maps_mod.TRIANGULATION)
+    triangulation, over (6/11)·log n, read off the face tree by
+    ``pair_distances``: no map is built."""
+    parent, letter = trees_mod.sample_increasing_tree(3, n, rng).links()
     nb = maps_mod._N_BOUNDARY[maps_mod.TRIANGULATION]
-    ids = rng.integers(nb, len(graph[0]) - 1, size=2)
-    d = int(maps_mod.bfs_distances_from(graph, int(ids[0]))[int(ids[1])])
+    ids = rng.integers(nb, nb + len(parent), size=2) - nb
+    d = int(maps_mod.pair_distances(parent, letter, maps_mod.TRIANGULATION, ids[:1], ids[1:])[0])
     return d / ((6.0 / 11.0) * log(n))
 
 
@@ -464,7 +464,7 @@ def _subtree_size(seed, n, reps, kmax):
     mass = sum(pmf_subtree_size(k) for k in range(1, kmax + 1))
     p = emp.chisquare_pvalue(
         lambda k: pmf_subtree_size(k) / mass if k <= kmax else 0.0, support_start=1
-    )
+    ) if emp.n else math.nan  # every draw beyond kmax: no sample to test
     return (
         {"chi2_pvalue": p, "dropped_beyond_kmax": dropped},
         {},

@@ -9,6 +9,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+import numpy as np
+
 from . import fragmentation, localtopo, maps, stats, trees
 from .counting import count_trees
 from .passage import gamma, gamma_pair, quad_root_distance, quad_type, tri_root_distance, tri_type
@@ -102,6 +104,15 @@ def check_pair_bound(level, mx):
                 continue
             if abs(D[m.vertex_of(a), m.vertex_of(b)] - gamma_pair(a, b)) > 4:
                 return False, f"{a},{b}"
+    return True, f"exhaustive n<={mx}"
+
+
+def check_pair_distance(level, mx):
+    for fam, n, t, m in _exhaustive_maps(mx):
+        D = maps.distance_matrix(m)[m.n_boundary:, m.n_boundary:]
+        links = trees.preorder_links(t.arity, t.offspring)
+        if not np.array_equal(maps.pair_distances(*links, fam, *np.indices(D.shape)), D):
+            return False, f"{fam} n={n}"
     return True, f"exhaustive n<={mx}"
 
 
@@ -302,6 +313,7 @@ CHECKS = [
     ("maps.roundtrip", check_roundtrip),
     ("maps.root-distance", check_root_distance),
     ("maps.pair-bound", check_pair_bound),
+    ("maps.pair-distance", check_pair_distance),
     ("maps.degrees", check_degrees),
     ("maps.mean-degree", check_mean_degree),
     ("maps.drawing-planar", check_drawing_planar),

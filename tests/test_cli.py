@@ -325,14 +325,15 @@ def test_cli_import_loads_no_scipy():
 
 def test_cli_import_builds_no_face_type_table():
     # the tables are built on first use, not when the CLI starts: the
-    # face-type automata, the degree automata and the replay's letter tables
+    # face-type automata, the degree automata, the replay's letter tables
+    # and the pair-distance lift tables
     code = ("import stackmaps.cli, stackmaps.passage as p, stackmaps.maps as m; "
             "print([f.cache_info().currsize for f in "
-            "(p._type_table, m._degree_table, m._letter_table)])")
+            "(p._type_table, m._degree_table, m._letter_table, m._lift_table)])")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                        env=subprocess_env())
     assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "[0, 0, 0]"
+    assert r.stdout.strip() == "[0, 0, 0, 0]"
 
 
 def test_chisquare_experiment_loads_no_scipy_stats():
@@ -381,6 +382,7 @@ VERIFY_QUICK_STDOUT = (
     "PASS maps.roundtrip  (exhaustive n<=4)\n"
     "PASS maps.root-distance  (exhaustive n<=4)\n"
     "PASS maps.pair-bound  (exhaustive n<=4)\n"
+    "PASS maps.pair-distance  (exhaustive n<=4)\n"
     "PASS maps.degrees  (exhaustive n<=4)\n"
     "PASS maps.mean-degree  (3 sampled maps)\n"
     "PASS maps.drawing-planar  (n=60 both families)\n"
@@ -394,7 +396,7 @@ VERIFY_QUICK_STDOUT = (
     "PASS frag.interval-partition  (K=200)\n"
     "PASS localtopo.ball-monotone  (r<=5)\n"
     "PASS localtopo.ultrametric  (4-map fixture set)\n"
-    "21/21 checks passed\n"
+    "22/22 checks passed\n"
 )
 
 
@@ -407,6 +409,7 @@ VERIFY_FULL_STDOUT = (
     "PASS maps.roundtrip  (exhaustive n<=4)\n"
     "PASS maps.root-distance  (exhaustive n<=4)\n"
     "PASS maps.pair-bound  (exhaustive n<=4)\n"
+    "PASS maps.pair-distance  (exhaustive n<=4)\n"
     "PASS maps.degrees  (exhaustive n<=4)\n"
     "PASS maps.mean-degree  (3 sampled maps)\n"
     "PASS maps.drawing-planar  (n=200 both families)\n"
@@ -420,7 +423,7 @@ VERIFY_FULL_STDOUT = (
     "PASS frag.interval-partition  (K=200)\n"
     "PASS localtopo.ball-monotone  (r<=5)\n"
     "PASS localtopo.ultrametric  (4-map fixture set)\n"
-    "21/21 checks passed\n"
+    "22/22 checks passed\n"
 )
 
 

@@ -4,6 +4,8 @@ import ast
 import math
 import re
 import sys
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -29,17 +31,19 @@ from stackmaps.maps import (
     grow,
     map_from_history,
     map_from_tree,
+    pair_distances,
     rotation_system,
     theta,
     to_svg,
     tree_from_map,
 )
 from stackmaps.passage import gamma_prime_literal, quad_root_distance, tri_root_distance
-from stackmaps.stats import degree_from_offspring
+from stackmaps.stats import GAMMA_RATE_QUAD_DERIVED, GAMMA_RATE_TRI, degree_from_offspring
 from stackmaps.trees import (
     IncreasingTree,
     OrderedTree,
     enumerate_trees,
+    preorder_links,
     rng_from_seed,
     sample_increasing_tree,
     sample_offspring_sequence,
@@ -637,6 +641,125 @@ def test_csr_from_growth_links_matches_offspring(family, arity):
 def test_csr_from_links_rejects_non_preorder_links(parent, letter):
     with pytest.raises(ValueError, match="preorder"):
         csr_from_links(parent, letter, TRIANGULATION)
+
+
+def _assert_pairs_match_bfs(parent, letter, family, rng, sources=20, targets=20):
+    """pair_distances against BFS rows: from random sources to random
+    targets, to each source itself, its parent and its ancestor three levels
+    up (or the root), in both orders."""
+    K = len(parent)
+    graph = csr_from_links(parent, letter, family)
+    nb = len(graph[0]) - 1 - K
+    u = rng.integers(0, K, size=sources)
+    v = rng.integers(0, K, size=(sources, targets))
+    up = np.maximum(parent, 0)
+    v[:, 0], v[:, 1], v[:, 2] = u, up[u], up[up[up[u]]]
+    want = maps._bfs(graph, nb + u)[np.arange(sources)[:, None], nb + v]
+    u = np.repeat(u[:, None], targets, axis=1)
+    assert np.array_equal(pair_distances(parent, letter, family, u, v), want)
+    assert np.array_equal(pair_distances(parent, letter, family, v, u), want)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 10**3, 10**5])
+@pytest.mark.parametrize("law", ["uniform", "growth"])
+@pytest.mark.parametrize("family, arity", [(TRIANGULATION, 3), (QUADRANGULATION, 2)])
+def test_pair_distances_match_bfs(family, arity, law, n):
+    rng = rng_from_seed(27, n)
+    if law == "uniform":
+        parent, letter = preorder_links(arity, sample_offspring_sequence(arity, n, rng))
+    else:
+        parent, letter = sample_increasing_tree(arity, n, rng).links()
+    if n:
+        _assert_pairs_match_bfs(parent, letter, family, rng)
+    else:  # no internal node, so no vertex to ask about
+        assert pair_distances(parent, letter, family, [], []).shape == (0,)
+
+
+@pytest.mark.parametrize("family", [TRIANGULATION, QUADRANGULATION])
+def test_pair_distances_deep_path_default_recursion_limit(family):
+    # the nested path 1^2000: every pair is an ancestor pair, 2000 levels apart at most
+    parent, letter = np.arange(-1, 1999), np.minimum(np.arange(2000), 1)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        _assert_pairs_match_bfs(parent, letter, family, rng_from_seed(28))
+        ends = pair_distances(parent, letter, family, [0, 1999], [1999, 0])
+    finally:
+        sys.setrecursionlimit(limit)
+    graph = csr_from_links(parent, letter, family)
+    want = maps._bfs(graph, [len(graph[0]) - 1 - 2000])[0, -1]  # the root's vertex to the last
+    assert ends.tolist() == [want, want]
+
+
+@pytest.mark.parametrize("u, v, match", [
+    ([0, 3], [1, 2], r"integers in 0\.\.2"),  # K = 3 nodes
+    ([-1], [0], r"integers in 0\.\.2"),
+    ([0.5], [1], r"integers in 0\.\.2"),
+    ([0, 1], [1], "different shapes"),
+    ([[0, 1]], [0, 1], "different shapes"),
+])
+def test_pair_distances_rejects_bad_ids(u, v, match):
+    parent, letter = [-1, 0, 0], [0, 1, 3]
+    with pytest.raises(ValueError, match=match):
+        pair_distances(parent, letter, TRIANGULATION, u, v)
+
+
+def test_pair_distances_checks_links_as_the_map_builder_does():
+    with pytest.raises(ValueError, match="^unknown family 'x'$"):
+        pair_distances([-1], [0], "x", [0], [0])
+    with pytest.raises(ValueError, match="preorder"):
+        pair_distances([-1, 1], [0, 1], TRIANGULATION, [0], [0])
+
+
+def _stationary_law(moves, n_states):
+    """The stationary law of the chain that takes each listed move
+    (state, next state) with equal probability from its state, solved
+    exactly by Gauss-Jordan elimination on pi (P - I) = 0, sum(pi) = 1."""
+    out = Counter(a for a, _ in moves)
+    rows = [[Fraction(0)] * n_states + [Fraction(0)] for _ in range(n_states)]
+    for a, b in moves:
+        rows[b][a] += Fraction(1, out[a])
+    for j in range(n_states):
+        rows[j][j] -= 1
+    rows[-1] = [Fraction(1)] * (n_states + 1)
+    for c in range(n_states):
+        p = next(r for r in range(c, n_states) if rows[r][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(n_states):
+            if r != c and rows[r][c]:
+                rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
+    return [row[-1] for row in rows]
+
+
+@pytest.mark.parametrize("family, n_states, drift, rate", [
+    (TRIANGULATION, 7, Fraction(2, 11), GAMMA_RATE_TRI),
+    (QUADRANGULATION, 5, Fraction(1, 5), GAMMA_RATE_QUAD_DERIVED),
+])
+def test_lift_automaton_derives_the_distance_rates(family, n_states, drift, rate):
+    # a vertex's distances to the corners of its ancestors' faces, reduced
+    # by their minimum, take finitely many values; under uniform letters the
+    # minimum grows by the stationary mean of its steps
+    metric, lift = maps._lift_table(family)
+    f = len(metric) - 1
+    start = metric[f, :f]
+    states = [tuple(start - start.min())]
+    index = {states[0]: 0}
+    moves = []  # (state, next state, step of the minimum), one per letter
+    for state in states:  # grows while it is read, until no new state appears
+        for table in lift:
+            d = (np.array(state)[:, None] + table).min(axis=0)[:f]
+            reduced = tuple(d - d.min())
+            if reduced not in index:
+                index[reduced] = len(states)
+                states.append(reduced)
+            moves.append((index[state], index[reduced], int(d.min())))
+    assert len(states) == n_states
+    assert {step for _, _, step in moves} == {0, 1}
+    pi = _stationary_law([(a, b) for a, b, _ in moves], n_states)
+    k = len(lift)
+    assert sum(pi[a] * Fraction(step, k) for a, _, step in moves) == drift
+    assert float(drift) == rate
 
 
 @pytest.mark.parametrize("family, offspring, match", [

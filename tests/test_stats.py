@@ -314,10 +314,20 @@ def test_bad_parameter_value_rejected_before_any_draw(name, params, match, monke
 
 @pytest.mark.parametrize("name, params, seed", [
     ("degree-uniform", {"n": 2, "reps": 1}, 0),
-    ("subtree-size", {"reps": 1}, 1),  # at seed 0 the one subtree is past kmax: no sample
+    ("subtree-size", {"reps": 1}, 1),
 ])
 def test_no_verdict_when_no_chi_square_test_ran(name, params, seed):
     # one replica fills one cell, too few for the test: NaN and no verdict
     r = run_experiment(name, params, seed)
     assert math.isnan(r.estimates["chi2_pvalue"]) and r.passed is None
     assert json.loads(r.to_json())["passed"] is None
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_one_subtree_size_draw_reports_no_verdict(seed):
+    # one replica gives at most one sample: at seeds 0 and 3 it lies beyond
+    # kmax, which left the chi-square test an empty sample (a ValueError),
+    # and elsewhere it fills one cell; either way NaN and no verdict
+    r = run_experiment("subtree-size", {"reps": 1}, seed)
+    assert math.isnan(r.estimates["chi2_pvalue"]) and r.passed is None
+    assert r.estimates["dropped_beyond_kmax"] == (seed in (0, 3))
