@@ -408,12 +408,16 @@ def _birth_faces(parent: np.ndarray, letter: np.ndarray, family: str) -> np.ndar
 
 def _checked_links(parent, letter, family: str) -> tuple[np.ndarray, np.ndarray]:
     """The parent and letter arrays as int64.  ValueError on an unknown
-    family, or unless the root comes first and every other node's parent
+    family, on an entry that is not an integer (integral floats are
+    taken), or unless the root comes first and every other node's parent
     comes before it with a letter in 1..arity; that the arrays list a
     tree's nodes in preorder is not checked."""
     k = _arity(family)
-    parent = np.asarray(parent, dtype=np.int64)
-    letter = np.asarray(letter, dtype=np.int64)
+    parent, letter = np.asarray(parent), np.asarray(letter)
+    for links in (parent, letter):  # the int64 cast would truncate a fraction
+        if links.dtype.kind not in "biu" and (links.dtype.kind != "f" or (links % 1 != 0).any()):
+            raise ValueError("links hold an entry that is not an integer")
+    parent, letter = parent.astype(np.int64, copy=False), letter.astype(np.int64, copy=False)
     K = len(parent)
     if (len(letter) != K or (K and parent[0] != -1)
             or not ((0 <= parent[1:]) & (parent[1:] < np.arange(1, K))).all()
@@ -591,9 +595,11 @@ def _lift_table(family: str) -> tuple[np.ndarray, np.ndarray]:
 
 def pair_distances(parent, letter, family: str, u, v) -> np.ndarray:
     """Map distances between the vertices of internal nodes u[i] and v[i],
-    read off the face tree given by its links, as ``csr_from_links`` reads
-    them, with no map built: node r is vertex n_boundary + r.  The result
-    has the shape of u.  ValueError on bad links or an unknown family (as
+    read off the face tree given by its links, with no map built.  Node ids
+    index the links as given: on preorder links, as ``csr_from_links``
+    reads them, node r is vertex n_boundary + r, but any order that lists
+    each parent before its children will do.  The result has the shape of
+    u.  ValueError on bad links or an unknown family (as
     in ``_checked_links``), on shapes of u and v that differ, or on a node
     id outside 0..K-1.
 

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 from functools import cache
 
-from .maps import _ROOT_FACE, _SPLIT, QUADRANGULATION, TRIANGULATION
-from .trees import Word, _letter_column, lca
+import numpy as np
+
+from .maps import _ROOT_FACE, _SPLIT, QUADRANGULATION, TRIANGULATION, _checked_links
+from .trees import Word, _depths, _letter_column, _root_path_sum, _stable_argsort, lca
 
 FULL_MASK = 0b111
 
@@ -186,6 +188,56 @@ def _root_distance(word: Word, family: str) -> int:
         _check_letters(word, len(column))
         raise
     return d
+
+
+@cache
+def _type_arrays(family: str) -> tuple[np.ndarray, np.ndarray, int]:
+    """``_type_table`` as flat arrays: ``(move, step, d)``, with state s the
+    s-th reduced type reached (0 the empty word's) and k the arity;
+    ``move[k * s + l - 1]`` is k times the state letter l leads to and
+    ``step[k * s + l - 1]`` the change of m on the way, and d the root
+    distance of the empty word."""
+    start, d = _type_table(family)
+    k = len(start) - 1
+    rows = [start]
+    state = {start[k]: 0}
+    for row in rows:  # grows while it is read, in the order the types are reached
+        for child, _ in row[:k]:
+            if child[k] not in state:
+                state[child[k]] = len(rows)
+                rows.append(child)
+    move = np.array([k * state[child[k]] for row in rows for child, _ in row[:k]])
+    step = np.array([s for row in rows for _, s in row[:k]])
+    return move, step, d
+
+
+def root_distances(parent, letter, family: str) -> np.ndarray:
+    """Distance from the root vertex (vertex 0) to the vertex of each
+    internal node r, read off the face tree given by its links with no map
+    built: the face-type automaton walked down every branch at once.  The
+    links are indexed by node, as ``maps.csr_from_links`` reads them, but
+    need only list each parent before its children (insertion order does).
+    ValueError as in ``maps._checked_links``.
+
+    The nodes are sorted by depth, and each level is one numpy step: a
+    node's state is its parent's moved by its letter.  A node's distance is
+    then the root node's plus the changes of m summed over its root path
+    (``_root_path_sum``).
+    """
+    parent, letter = _checked_links(parent, letter, family)
+    move, step, d = _type_arrays(family)
+    depth = _depths(parent)
+    order = _stable_argsort(depth)
+    up, arc = np.maximum(parent, 0), letter - 1  # the root is its own parent
+    state = np.zeros(len(parent), dtype=np.int64)  # k times each node's state
+    ends = np.cumsum(np.bincount(depth)).tolist()
+    for a, b in zip(ends, ends[1:]):
+        level = order[a:b]
+        state[level] = move[state[up[level]] + arc[level]]
+    arc += state[up]
+    weight = step[arc]
+    weight[:1] = 0
+    return d + _root_path_sum(up, weight)
 
 
 def gamma_prime_literal(word: Word) -> int:

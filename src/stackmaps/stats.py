@@ -31,7 +31,7 @@ import numpy as np
 from . import maps as maps_mod
 from . import trees as trees_mod
 from .counting import count_forests, count_trees
-from .passage import gamma, gamma_prime_literal, quad_root_distance
+from .passage import gamma, gamma_prime_literal, quad_root_distance, root_distances
 from .trees import rng_from_seed
 
 #: renewal rate of the block count on uniform ternary letters
@@ -360,8 +360,11 @@ def _quad_rate(seed, n, reps):
 def _distance_ratio(n, rng) -> float:
     """Distance between two uniform internal vertices of a growth-law
     triangulation, over (6/11)·log n, read off the face tree by
-    ``pair_distances``: no map is built."""
-    parent, letter = trees_mod.sample_increasing_tree(3, n, rng).links()
+    ``pair_distances``: no map is built.  The vertices are drawn as
+    insertion indices (node k the one inserted at step k), on the tree's
+    links in insertion order, which list each parent before its children."""
+    tree = trees_mod.sample_increasing_tree(3, n, rng)
+    parent, letter = trees_mod._slot_links(3, tree.slot)
     nb = maps_mod._N_BOUNDARY[maps_mod.TRIANGULATION]
     ids = rng.integers(nb, nb + len(parent), size=2) - nb
     d = int(maps_mod.pair_distances(parent, letter, maps_mod.TRIANGULATION, ids[:1], ids[1:])[0])
@@ -414,9 +417,12 @@ def _depth(arity, seed, n, reps, window):
 
 
 def _root_radius(n, rng) -> int:
+    """Largest distance from the root vertex in a uniform triangulation,
+    read off the face tree by ``root_distances``: no map is built.  The
+    internal vertices alone give it, since the root node's vertex is at
+    distance 1, as far as any boundary vertex is."""
     off = trees_mod.sample_offspring_sequence(3, n, rng)
-    graph = maps_mod.csr_from_offspring(off, maps_mod.TRIANGULATION)
-    return int(maps_mod.bfs_distances_from(graph, 0).max())
+    return int(root_distances(*trees_mod.preorder_links(3, off), maps_mod.TRIANGULATION).max())
 
 
 def _radius_scaling(seed, sizes, reps):

@@ -508,7 +508,15 @@ def preorder_links(arity: int, offspring) -> tuple[np.ndarray, np.ndarray]:
     among the internal nodes, as ``IncreasingTree.links`` gives them, read
     off an offspring sequence by ``_slot_pairing``, with its ValueErrors."""
     inner, slot, _, _ = _slot_pairing(arity, offspring)
-    parent, letter = np.divmod(slot[inner], arity)
+    return _slot_links(arity, slot[inner])
+
+
+def _slot_links(arity: int, slot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Parent and letter of the node in each slot: slot s is child
+    s % arity + 1 of node s // arity, and the root, in slot -1, has parent
+    -1 and letter 0.  Read off an ``IncreasingTree``'s slots, these are its
+    links in insertion order."""
+    parent, letter = np.divmod(slot, arity)
     letter += 1
     letter[:1] = 0  # the root, in slot -1
     return parent, letter

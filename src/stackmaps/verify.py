@@ -13,7 +13,8 @@ import numpy as np
 
 from . import fragmentation, localtopo, maps, stats, trees
 from .counting import count_trees
-from .passage import gamma, gamma_pair, quad_root_distance, quad_type, tri_root_distance, tri_type
+from .passage import (gamma, gamma_pair, quad_root_distance, quad_type, root_distances, tri_root_distance,
+                      tri_type)
 
 
 def _all_words(arity, max_len):
@@ -93,6 +94,14 @@ def check_root_distance(level, mx):
         for w in t.internal_words():
             if d[m.vertex_of(w)] != root_distance[fam](w):
                 return False, f"{fam} {w}"
+    return True, f"exhaustive n<={mx}"
+
+
+def check_root_distances(level, mx):
+    for fam, n, t, m in _exhaustive_maps(mx):
+        links = trees.preorder_links(t.arity, t.offspring)
+        if not np.array_equal(root_distances(*links, fam), maps.distance_matrix(m, [0])[0][m.n_boundary:]):
+            return False, f"{fam} n={n}"
     return True, f"exhaustive n<={mx}"
 
 
@@ -309,6 +318,7 @@ CHECKS = [
     ("passage.gamma-eq-type", check_gamma_eq_type),
     ("passage.tri-type-invariant", check_tri_type_invariant),
     ("passage.quad-parity", check_quad_parity),
+    ("passage.root-distance", check_root_distances),
     ("maps.euler", check_euler),
     ("maps.roundtrip", check_roundtrip),
     ("maps.root-distance", check_root_distance),

@@ -325,15 +325,15 @@ def test_cli_import_loads_no_scipy():
 
 def test_cli_import_builds_no_face_type_table():
     # the tables are built on first use, not when the CLI starts: the
-    # face-type automata, the degree automata, the replay's letter tables
-    # and the pair-distance lift tables
+    # face-type automata and their flat arrays, the degree automata, the
+    # replay's letter tables and the pair-distance lift tables
     code = ("import stackmaps.cli, stackmaps.passage as p, stackmaps.maps as m; "
             "print([f.cache_info().currsize for f in "
-            "(p._type_table, m._degree_table, m._letter_table, m._lift_table)])")
+            "(p._type_table, p._type_arrays, m._degree_table, m._letter_table, m._lift_table)])")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                        env=subprocess_env())
     assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "[0, 0, 0, 0]"
+    assert r.stdout.strip() == "[0, 0, 0, 0, 0]"
 
 
 def test_chisquare_experiment_loads_no_scipy_stats():
@@ -378,6 +378,7 @@ VERIFY_QUICK_STDOUT = (
     "PASS passage.gamma-eq-type  (depth<=7)\n"
     "PASS passage.tri-type-invariant  (depth<=8)\n"
     "PASS passage.quad-parity  (depth<=10)\n"
+    "PASS passage.root-distance  (exhaustive n<=4)\n"
     "PASS maps.euler  (40 growth steps)\n"
     "PASS maps.roundtrip  (exhaustive n<=4)\n"
     "PASS maps.root-distance  (exhaustive n<=4)\n"
@@ -396,7 +397,7 @@ VERIFY_QUICK_STDOUT = (
     "PASS frag.interval-partition  (K=200)\n"
     "PASS localtopo.ball-monotone  (r<=5)\n"
     "PASS localtopo.ultrametric  (4-map fixture set)\n"
-    "22/22 checks passed\n"
+    "23/23 checks passed\n"
 )
 
 
@@ -405,6 +406,7 @@ VERIFY_FULL_STDOUT = (
     "PASS passage.gamma-eq-type  (depth<=10)\n"
     "PASS passage.tri-type-invariant  (depth<=12)\n"
     "PASS passage.quad-parity  (depth<=16)\n"
+    "PASS passage.root-distance  (exhaustive n<=4)\n"
     "PASS maps.euler  (40 growth steps)\n"
     "PASS maps.roundtrip  (exhaustive n<=4)\n"
     "PASS maps.root-distance  (exhaustive n<=4)\n"
@@ -423,7 +425,7 @@ VERIFY_FULL_STDOUT = (
     "PASS frag.interval-partition  (K=200)\n"
     "PASS localtopo.ball-monotone  (r<=5)\n"
     "PASS localtopo.ultrametric  (4-map fixture set)\n"
-    "22/22 checks passed\n"
+    "23/23 checks passed\n"
 )
 
 

@@ -37,7 +37,7 @@ from stackmaps.maps import (
     to_svg,
     tree_from_map,
 )
-from stackmaps.passage import gamma_prime_literal, quad_root_distance, tri_root_distance
+from stackmaps.passage import gamma_prime_literal, quad_root_distance, root_distances, tri_root_distance
 from stackmaps.stats import GAMMA_RATE_QUAD_DERIVED, GAMMA_RATE_TRI, degree_from_offspring
 from stackmaps.trees import (
     IncreasingTree,
@@ -702,6 +702,24 @@ def test_pair_distances_rejects_bad_ids(u, v, match):
     parent, letter = [-1, 0, 0], [0, 1, 3]
     with pytest.raises(ValueError, match=match):
         pair_distances(parent, letter, TRIANGULATION, u, v)
+
+
+@pytest.mark.parametrize("parent, letter", [
+    ([-1, 0.5], [0, 1.9]),  # the int64 cast made these the links [-1, 0] / [0, 1]
+    ([-1, 0], [0, 1.5]),
+    ([-1.0, np.nan], [0, 1]),
+    ([-1, None], [0, 1]),
+    (["-1", "0"], [0, 1]),
+])
+@pytest.mark.parametrize("call", ["csr_from_links", "pair_distances", "root_distances"])
+def test_links_must_be_integers(call, parent, letter):
+    build = {"csr_from_links": lambda p, l: np.concatenate(csr_from_links(p, l, TRIANGULATION)),
+             "pair_distances": lambda p, l: pair_distances(p, l, TRIANGULATION, [0], [1]),
+             "root_distances": lambda p, l: root_distances(p, l, TRIANGULATION)}[call]
+    with pytest.raises(ValueError, match="^links hold an entry that is not an integer$"):
+        build(parent, letter)
+    # integral values are taken, as IncreasingTree takes them
+    assert np.array_equal(build(np.array([-1.0, 0.0]), [0, True]), build([-1, 0], [0, 1]))
 
 
 def test_pair_distances_checks_links_as_the_map_builder_does():

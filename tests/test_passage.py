@@ -1,13 +1,15 @@
 """Passage statistics on node addresses and their distance identities."""
 
 import re
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stackmaps.maps import QUADRANGULATION, TRIANGULATION, _ARITY, _ROOT_FACE, _SPLIT, distance_matrix, theta
+from stackmaps.maps import (QUADRANGULATION, TRIANGULATION, _ARITY, _N_BOUNDARY, _ROOT_FACE, _SPLIT, _bfs,
+                            csr_from_links, distance_matrix, theta)
 from stackmaps.passage import (
     _type_table,
     gamma,
@@ -16,10 +18,13 @@ from stackmaps.passage import (
     gamma_prime_pair,
     quad_root_distance,
     quad_type,
+    root_distances,
     tau_decomposition,
     tri_root_distance,
     tri_type,
 )
+from stackmaps.trees import (_slot_links, preorder_links, rng_from_seed, sample_increasing_tree,
+                             sample_offspring_sequence)
 
 
 def w(s: str) -> tuple:
@@ -218,3 +223,55 @@ def test_type_walks_name_the_bad_letter(f, alphabet, bad):
     # ValueError naming it, wherever it stands in the word
     with pytest.raises(ValueError, match=f"^letter {re.escape(str(bad))} not in {re.escape(alphabet)}$"):
         f((1, 2, bad, 1))
+
+
+def _bfs_from_root(parent, letter, family):
+    """BFS distances from vertex 0 to the internal vertices of the map of
+    preorder links."""
+    return _bfs(csr_from_links(parent, letter, family), [0])[0, _N_BOUNDARY[family]:]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 10**3, 10**5])
+@pytest.mark.parametrize("law", ["uniform", "growth"])
+@pytest.mark.parametrize("family, arity", [(TRIANGULATION, 3), (QUADRANGULATION, 2)])
+def test_root_distances_match_bfs(family, arity, law, n):
+    rng = rng_from_seed(29, n)
+    if law == "uniform":
+        links = preorder_links(arity, sample_offspring_sequence(arity, n, rng))
+        assert np.array_equal(root_distances(*links, family), _bfs_from_root(*links, family))
+        return
+    # a growth tree, on its preorder links and on its links in insertion
+    # order, where node k is the preorder node of rank ``rank[k]``
+    tree = sample_increasing_tree(arity, n, rng)
+    want = _bfs_from_root(*tree.links(), family)
+    rank = np.argsort(np.argsort(tree._preorder()))
+    assert np.array_equal(root_distances(*tree.links(), family), want)
+    assert np.array_equal(root_distances(*_slot_links(arity, tree.slot), family), want[rank])
+
+
+@pytest.mark.parametrize("family", [TRIANGULATION, QUADRANGULATION])
+def test_root_distances_deep_path_default_recursion_limit(family):
+    # the nested path 1^2000: 2000 levels, one node each
+    parent, letter = np.arange(-1, 1999), np.minimum(np.arange(2000), 1)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        got = root_distances(parent, letter, family)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert np.array_equal(got, _bfs_from_root(parent, letter, family))
+
+
+@pytest.mark.parametrize("parent, letter, family, match", [
+    ([0], [0], TRIANGULATION, "preorder"),  # the root has parent -1
+    ([-1, 1], [0, 1], TRIANGULATION, "preorder"),  # a parent not before its child
+    ([-1, 0], [0, 3], QUADRANGULATION, "preorder"),  # a letter outside 1..2
+    ([-1, 0], [0], TRIANGULATION, "preorder"),  # arrays of different lengths
+    ([-1, 0.5], [0, 1], TRIANGULATION, "not an integer"),
+    ([-1, 0], [0, 1.9], TRIANGULATION, "not an integer"),
+    ([-1], [0], "x", "^unknown family 'x'$"),
+])
+def test_root_distances_reject_bad_links(parent, letter, family, match):
+    with pytest.raises(ValueError, match=match):
+        root_distances(parent, letter, family)
+

@@ -6,15 +6,19 @@ import math
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from stackmaps.maps import TRIANGULATION, map_from_tree
+from stackmaps.maps import (QUADRANGULATION, TRIANGULATION, bfs_distances_from, csr_from_offspring,
+                            map_from_tree, pair_distances)
 from stackmaps.stats import (
     GAMMA_RATE_QUAD_DERIVED,
     GAMMA_RATE_TRI,
     EXPERIMENTS,
     EmpiricalPMF,
     ExperimentReport,
+    _distance_ratio,
+    _root_radius,
     degree_from_offspring,
     enumerate_urn_pmf,
     expected_degree_growth,
@@ -28,9 +32,11 @@ from stackmaps.stats import (
     urn_index_shift,
 )
 from stackmaps.trees import (
+    _slot_links,
     enumerate_trees,
     rng_from_seed,
     sample_increasing_tree,
+    sample_offspring_sequence,
     sample_uniform_tree,
 )
 
@@ -236,10 +242,10 @@ GOLDEN_DIGESTS = {
                        "01f2b48780b4b4a70cf4c54a7256af4dc0432f84c85a107f0231e3c5339025d4"),
     ("quad-rate", 7): ("d8488444b321dd3e88e1a961e1ef3f7cc77747f109d84053b6722f84c6787722",
                        "83039842d7a71abf53090313cab7fbd24f5b4f80aef5ce21b4ef7cb966816a4f"),
-    ("typical-distance", 0): ("77131461eef35b92d365a76521cd6741989eb3083d738efb637b9afd9318668f",
-                              "2b7139d76fcb9cc179386e295c394382ec01e578c014cce85b8a3fe8b104c015"),
-    ("typical-distance", 7): ("97d9e2e51055d1ac3e2c61b4705314d1aad4fdddb03061ccd013bf5b9c960d4e",
-                              "72eb8e71dc87b66160f7d2ae1f58898f9352261e7efa600bcc5fcc28b668e5f7"),
+    ("typical-distance", 0): ("71b9ed8fffd8431aa3e506bfaa2d7c8a4dea0a0d89f04c1dceda76cd905df7cd",
+                              "eac3176a72fee5898044688a67ac5bd2c6f038e40ef8aae15f053b2c2573f43a"),
+    ("typical-distance", 7): ("407452dbf27ef03147b0a99c6c075a8b6cd55c606651dec8a9c9cd6e8d06dfe8",
+                              "eac3176a72fee5898044688a67ac5bd2c6f038e40ef8aae15f053b2c2573f43a"),
     ("tri-depth", 0): ("7b25451f4a2222e3c66c33ced413206a8e1fd7c5043f31cce8572a80f8bc676e",
                        "4bf79044e771568914ab7a5468a88f7dbefa2ff22af654ad42e84b859edd93d2"),
     ("tri-depth", 7): ("9ee829955a53a9162770dedf40d461813216cb8bb6ada2f4385e7a2b15f03a58",
@@ -268,6 +274,40 @@ def test_experiment_reports_match_golden_digests(name, seed):
     rep = run_experiment(name, dict(GOLDEN_PARAMS[name]), seed)
     digests = tuple(hashlib.sha256(s.encode()).hexdigest() for s in (rep.to_json(), rep.to_csv()))
     assert digests == GOLDEN_DIGESTS[name, seed]
+
+
+@pytest.mark.parametrize("arity, family", [(3, TRIANGULATION), (2, QUADRANGULATION)])
+def test_insertion_links_give_the_distances_of_preorder_ranks(arity, family):
+    # node k of a growth tree's links in insertion order is the node of
+    # preorder rank rank[k] of its links(): the same vertex of the map
+    rng = rng_from_seed(29)
+    for _ in range(20):
+        tree = sample_increasing_tree(arity, 300, rng)
+        rank = np.argsort(np.argsort(tree._preorder()))
+        u, v = rng.integers(0, 300, size=(2, 50))
+        assert np.array_equal(pair_distances(*_slot_links(arity, tree.slot), family, u, v),
+                              pair_distances(*tree.links(), family, rank[u], rank[v]))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_typical_distance_draws_insertion_indices(seed):
+    # the two vertices are those of the nodes inserted at the drawn steps
+    rng = rng_from_seed(seed)
+    tree = sample_increasing_tree(3, 1000, rng)
+    k = rng.integers(3, 1003, size=2) - 3
+    rank = np.argsort(np.argsort(tree._preorder()))
+    d = pair_distances(*tree.links(), TRIANGULATION, rank[k[:1]], rank[k[1:]])[0]
+    assert _distance_ratio(1000, rng_from_seed(seed)) == d / ((6.0 / 11.0) * math.log(1000))
+
+
+@pytest.mark.parametrize("n", [2, 3, 100, 2500])
+def test_root_radius_is_the_bfs_radius(n):
+    # the internal vertices alone give the radius: the boundary vertices
+    # are at distance at most 1, as the root node's vertex is
+    for r in range(20):
+        off = sample_offspring_sequence(3, n, rng_from_seed(29, r))
+        want = bfs_distances_from(csr_from_offspring(off, TRIANGULATION), 0).max()
+        assert _root_radius(n, rng_from_seed(29, r)) == want
 
 
 def test_golden_params_cover_the_registry():
